@@ -28,7 +28,7 @@ from .errors import (
     ParseError,
 )
 from .expr import Expr, parse
-from .greens import ProblemParams, green_eval, gstar
+from .greens import ProblemParams, green_eval
 from .solver import ProblemSpec, picard_solve, residual
 
 # Built-in worked example: a right-hand side whose Lipschitz constant 1/11
@@ -93,6 +93,16 @@ def _parse_int(key: str, text: str) -> int:
         raise ConfigError(f"key {key!r}: expected an integer, got {text!r}") from None
 
 
+def _check_grid_n(label: str, grid_n: int) -> None:
+    if grid_n < 33:
+        raise ConfigError(f"{label} must be >= 33, got {grid_n}")
+
+
+def _check_tol(label: str, tol: float) -> None:
+    if not (0.0 < tol <= 1e-2):
+        raise ConfigError(f"{label} must lie in (0, 1e-2], got {tol}")
+
+
 def parse_config(path: str) -> Config:
     """Read and validate a flat key = value configuration file."""
     try:
@@ -138,11 +148,9 @@ def parse_config(path: str) -> Config:
         raise ConfigError(f"{path}: key 'rhs': {exc}") from exc
 
     grid_n = _parse_int("grid_n", raw["grid_n"]) if "grid_n" in raw else 513
-    if grid_n < 33:
-        raise ConfigError(f"{path}: grid_n must be >= 33, got {grid_n}")
+    _check_grid_n(f"{path}: grid_n", grid_n)
     tol = _parse_float("tol", raw["tol"]) if "tol" in raw else 1e-8
-    if not (0.0 < tol <= 1e-2):
-        raise ConfigError(f"{path}: tol must lie in (0, 1e-2], got {tol}")
+    _check_tol(f"{path}: tol", tol)
     max_iter = _parse_int("max_iter", raw["max_iter"]) if "max_iter" in raw else 200
     if max_iter < 1:
         raise ConfigError(f"{path}: max_iter must be >= 1, got {max_iter}")
@@ -157,6 +165,8 @@ def parse_config(path: str) -> Config:
         if kind == "constant":
             if "psi_a" not in raw:
                 raise ConfigError(f"{path}: psi_kind=constant needs psi_a")
+            if "psi_b" in raw:
+                raise ConfigError(f"{path}: psi_b applies only to psi_kind=affine")
             try:
                 psi = ConstantPsi(_parse_float("psi_a", raw["psi_a"]))
             except DomainError as exc:
@@ -340,7 +350,6 @@ def cmd_example() -> int:
     spec = ProblemSpec(params, rhs)
     k = EXAMPLE_K
     th = theta(params)
-    gs = gstar(params, n=2049, m=513)
     cert = certify(spec, k=k, n=2049, m=513)
 
     out = [
@@ -353,9 +362,9 @@ def cmd_example() -> int:
         f"second_term={_trunc6(2.0 * k * th)}",
         f"gstar_reported={_fmt(EXAMPLE_GSTAR_REPORTED)}",
         f"first_term_paper={_trunc6(2.0 * k * EXAMPLE_GSTAR_REPORTED)}",
-        f"gstar_value={gs:.12f}",
+        f"gstar_value={cert.gstar_value:.12f}",
         f"gstar_paper_bound={cert.gstar_paper_bound:.12f}",
-        f"first_term={2.0 * k * gs:.12f}",
+        f"first_term={2.0 * k * cert.gstar_value:.12f}",
         f"d={cert.d:.12f}",
         f"unique={_bool_text(cert.unique)}",
     ]
@@ -404,12 +413,10 @@ def _build_arg_parser() -> argparse.ArgumentParser:
 def _apply_overrides(config: Config, args: argparse.Namespace) -> Config:
     updates: dict[str, object] = {}
     if args.grid is not None:
-        if args.grid < 33:
-            raise ConfigError(f"--grid must be >= 33, got {args.grid}")
+        _check_grid_n("--grid", args.grid)
         updates["grid_n"] = args.grid
     if args.tol is not None:
-        if not (0.0 < args.tol <= 1e-2):
-            raise ConfigError(f"--tol must lie in (0, 1e-2], got {args.tol}")
+        _check_tol("--tol", args.tol)
         updates["tol"] = args.tol
     if not updates:
         return config

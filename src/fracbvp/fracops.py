@@ -11,7 +11,9 @@ and the Caputo derivative of order g in (0, 1]
 which annihilates constants.  Grid versions use product integration: the
 weakly singular factor is integrated exactly against the piecewise-linear
 interpolant of the data, so both grid operators are exact (to roundoff)
-whenever the input is piecewise linear on the grid.
+whenever the input is piecewise linear on the grid.  On a uniform grid both
+are convolutions, held as the first column of a lower-triangular Toeplitz
+matrix and applied by FFT (:func:`lower_toeplitz_apply`).
 """
 
 from __future__ import annotations
@@ -141,107 +143,65 @@ def caputo_monomial(gamma_ord: float, p: float, t: float) -> float:
     return gamma(p + 1.0) / gamma(p + 1.0 - gamma_ord) * t ** (p - gamma_ord)
 
 
-def left_kernel_moments(alpha: float, grid: Grid, i: int) -> np.ndarray:
-    """Exact moments of the left singular kernel against the hat basis:
+def left_kernel_toeplitz(alpha: float, grid: Grid) -> tuple[np.ndarray, np.ndarray]:
+    """Exact moments of the left singular kernel against the hat basis,
 
-        w_j = integral_0^{t_i} (t_i - s)^(alpha-1) phi_j(s) ds.
+        L[i, j] = integral_0^{t_i} (t_i - s)^(alpha-1) phi_j(s) ds,
 
-    All moments reduce to differences of integer powers scaled by h^alpha,
-    so the row is exact for piecewise-linear data and finite for alpha > 0.
+    as Toeplitz data.  L is lower triangular and constant along its
+    diagonals except in column 0, whose hat function is cut off at s = 0.
+    Returns ``(column, first)``: L[i, j] = column[i - j] for 1 <= j <= i, and
+    L[i, 0] = first[i].  All moments reduce to differences of integer powers
+    scaled by h^alpha, so L is exact for piecewise-linear data and finite for
+    alpha > 0.
     """
-    if not (math.isfinite(alpha) and alpha > 0.0):
-        raise DomainError(f"kernel order must be > 0, got {alpha!r}")
-    if not (0 <= i < grid.n):
-        raise DomainError(f"node index {i!r} outside grid of size {grid.n}")
-    w = np.zeros(grid.n)
-    if i == 0:
-        return w
-    r = np.arange(i, 0, -1, dtype=float)  # r = i - m over cells m = 0..i-1
-    ra, rb = r**alpha, (r - 1.0) ** alpha
-    ra1, rb1 = r ** (alpha + 1.0), (r - 1.0) ** (alpha + 1.0)
-    scale = grid.h**alpha
-    p0 = scale * (ra - rb) / alpha
-    p_up = scale * (r * (ra - rb) / alpha - (ra1 - rb1) / (alpha + 1.0))
-    w[:i] += p0 - p_up
-    w[1 : i + 1] += p_up
-    return w
-
-
-def left_kernel_moment_matrix(alpha: float, grid: Grid) -> np.ndarray:
-    """All rows of :func:`left_kernel_moments` with shared power tables."""
     if not (math.isfinite(alpha) and alpha > 0.0):
         raise DomainError(f"kernel order must be > 0, got {alpha!r}")
     n = grid.n
     idx = np.arange(n, dtype=float)
     pa, pa1 = idx**alpha, idx ** (alpha + 1.0)
+    r = idx[1:]  # offset i - m of cell m from node i
+    p0 = (pa[1:] - pa[:-1]) / alpha
+    p_up = r * (pa[1:] - pa[:-1]) / alpha - (pa1[1:] - pa1[:-1]) / (alpha + 1.0)
+    # a hat at node j collects the rising half of cell j-1 and the falling
+    # half of cell j; the hat at node 0 has only the falling half
+    falling = p0 - p_up
+    column = np.empty(n)
+    column[0] = p_up[0]
+    column[1:] = falling + np.append(p_up[1:], 0.0)
+    first = np.append(0.0, falling)
     scale = grid.h**alpha
-    out = np.zeros((n, n))
-    for i in range(1, n):
-        ra, rb = pa[i:0:-1], pa[i - 1 :: -1]
-        ra1, rb1 = pa1[i:0:-1], pa1[i - 1 :: -1]
-        r = idx[i:0:-1]
-        p0 = (ra - rb) / alpha
-        p_up = r * (ra - rb) / alpha - (ra1 - rb1) / (alpha + 1.0)
-        out[i, :i] += p0 - p_up
-        out[i, 1 : i + 1] += p_up
-    out *= scale
+    return column * scale, first * scale
+
+
+def lower_toeplitz_apply(column: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Product T x with the lower-triangular Toeplitz T[i, j] = column[i - j].
+
+    Both inputs are zero-padded to a power of two >= 2n - 1, so the circular
+    FFT convolution has no wrap-around in its first n entries: O(n log n)
+    time and O(n) memory.  Entry 0 has a single term and is set exactly, so
+    rows that vanish at t = 0 stay exactly zero.
+    """
+    n = len(x)
+    size = 1 << (2 * n - 2).bit_length()
+    spectrum = np.fft.rfft(column, size) * np.fft.rfft(x, size)
+    out = np.fft.irfft(spectrum, size)[:n]
+    out[0] = column[0] * x[0]
     return out
 
 
 def right_kernel_moments(mu: float, grid: Grid) -> np.ndarray:
     """Exact moments of the right singular kernel against the hat basis:
 
-        w_j = integral_0^1 (1 - s)^(mu-1) phi_j(s) ds.
+        w_j = integral_0^1 (1 - s)^(mu-1) phi_j(s) ds,
 
-    Finite for every mu > 0, including the weakly singular range mu < 1.
+    the t = 1 row of the left-kernel moments of order mu.  Finite for every
+    mu > 0, including the weakly singular range mu < 1.
     """
-    if not (math.isfinite(mu) and mu > 0.0):
-        raise DomainError(f"kernel order must be > 0, got {mu!r}")
-    n = grid.n
-    w = np.zeros(n)
-    q = np.arange(n - 1, 0, -1, dtype=float)  # q = (n-1) - m over cells m
-    qa, qb = q**mu, (q - 1.0) ** mu
-    qa1, qb1 = q ** (mu + 1.0), (q - 1.0) ** (mu + 1.0)
-    scale = grid.h**mu
-    p0 = scale * (qa - qb) / mu
-    p_up = scale * (q * (qa - qb) / mu - (qa1 - qb1) / (mu + 1.0))
-    w[: n - 1] += p0 - p_up
-    w[1:] += p_up
+    column, first = left_kernel_toeplitz(mu, grid)
+    w = column[::-1].copy()
+    w[0] = first[-1]
     return w
-
-
-def indicator_moments(grid: Grid, i: int) -> np.ndarray:
-    """Exact moments of the indicator of [0, t_i] against the hat basis."""
-    if not (0 <= i < grid.n):
-        raise DomainError(f"node index {i!r} outside grid of size {grid.n}")
-    w = np.zeros(grid.n)
-    if i == 0:
-        return w
-    h = grid.h
-    w[0] = 0.5 * h
-    w[1:i] = h
-    w[i] = 0.5 * h
-    return w
-
-
-def indicator_moment_matrix(grid: Grid) -> np.ndarray:
-    """All rows of :func:`indicator_moments`."""
-    n, h = grid.n, grid.h
-    out = np.tril(np.full((n, n), h))
-    out[:, 0] *= 0.5
-    np.fill_diagonal(out, 0.5 * h)
-    out[0, :] = 0.0
-    return out
-
-
-def frac_integral_grid(alpha: float, f: GridFunction, i: int) -> float:
-    """Product-trapezoid value of I^alpha f at node t_i.
-
-    Integrates (t_i - s)^(alpha-1) exactly against the piecewise-linear
-    interpolant of the samples, so the result is exact for piecewise-linear f.
-    """
-    w = left_kernel_moments(alpha, f.grid, i)
-    return float(w @ f.values) / gamma(alpha)
 
 
 def caputo_grid(gamma_ord: float, u: GridFunction) -> GridFunction:
@@ -260,8 +220,7 @@ def caputo_grid(gamma_ord: float, u: GridFunction) -> GridFunction:
     h = u.grid.h
     k = np.arange(n - 1, dtype=float)
     a = (k + 1.0) ** (1.0 - gamma_ord) - k ** (1.0 - gamma_ord)
-    d = np.diff(u.values)
-    conv = np.convolve(a, d)[: n - 1]
+    conv = lower_toeplitz_apply(a, np.diff(u.values))
     out = np.zeros(n)
     out[1:] = conv * h ** (-gamma_ord) / gamma(2.0 - gamma_ord)
     return GridFunction(u.grid, out)

@@ -21,13 +21,20 @@ and the reduced derivative v = D^(alpha-1) u has the companion kernel
 Both kernels are weakly singular at s = 1 when alpha - beta < 1, yet their
 moments against hat functions are finite, so grid weights exist for every
 admissible parameter triple.
+
+On a uniform grid each kernel's weights are a :class:`KernelOperator`: the
+1_{s<=t} terms give a lower-triangular Toeplitz matrix (apart from column
+0), and the (1-s) terms a rank-2 (G) or rank-1 (H) update, so the weights
+take O(n) memory and apply in O(n log n).  :func:`green_operator` and
+:func:`companion_operator` are the only place the weight formulas live; the
+dense n x n matrices of :func:`green_weight_matrix` and
+:func:`companion_weight_matrix` are their expansions, kept as a small-n
+reference for tests.
 """
 
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,10 +43,8 @@ from .errors import DomainError, SingularityError
 from .fracops import (
     Grid,
     gamma,
-    indicator_moment_matrix,
-    indicator_moments,
-    left_kernel_moment_matrix,
-    left_kernel_moments,
+    left_kernel_toeplitz,
+    lower_toeplitz_apply,
     right_kernel_moments,
 )
 
@@ -68,31 +73,47 @@ class ProblemParams:
 
 
 @dataclass(frozen=True, eq=False)
-class KernelWeights:
-    """Quadrature weights for one evaluation node of a kernel row."""
+class KernelOperator:
+    """Quadrature weights of a kernel on a grid, held in O(n) memory.
 
-    grid: Grid
-    weights: np.ndarray
-    t_index: int
+    The n x n weight matrix is
 
-    def __post_init__(self) -> None:
-        w = np.asarray(self.weights, dtype=float)
-        if w.shape != (self.grid.n,):
-            raise DomainError(f"expected {self.grid.n} weights, got shape {w.shape}")
-        if not np.all(np.isfinite(w)):
-            raise DomainError("kernel weights must be finite")
-        if not (0 <= self.t_index < self.grid.n):
-            raise DomainError(f"node index {self.t_index!r} outside grid")
-        w = w.copy()
-        w.setflags(write=False)
-        object.__setattr__(self, "weights", w)
+        W = T + (first - column) e_0^T + sum_k outer(left_k, right_k),
+
+    where T[i, j] = column[i - j] for j <= i is lower-triangular Toeplitz,
+    ``first`` replaces T's column 0, and ``factors`` holds the (left, right)
+    pairs of a low-rank update.  ``W @ x`` costs one FFT convolution plus a
+    dot product per factor; :meth:`dense` expands W for small-n reference
+    checks.
+    """
+
+    column: np.ndarray
+    first: np.ndarray
+    factors: tuple[tuple[np.ndarray, np.ndarray], ...]
 
     @property
-    def t(self) -> float:
-        return float(self.grid.nodes[self.t_index])
+    def shape(self) -> tuple[int, int]:
+        n = len(self.column)
+        return (n, n)
 
-    def apply(self, values: np.ndarray) -> float:
-        return float(self.weights @ np.asarray(values, dtype=float))
+    def __matmul__(self, x: np.ndarray) -> np.ndarray:
+        x = np.asarray(x, dtype=float)
+        out = lower_toeplitz_apply(self.column, x)
+        out += (self.first - self.column) * x[0]
+        for left, right in self.factors:
+            out += left * (right @ x)
+        return out
+
+    def dense(self) -> np.ndarray:
+        """The n x n matrix W; O(n^2) memory, for reference checks."""
+        n = len(self.column)
+        # row i of T is the reversed, zero-padded column read from offset n-1-i
+        padded = np.concatenate((np.zeros(n - 1), self.column))[::-1]
+        out = np.lib.stride_tricks.sliding_window_view(padded, n)[::-1].copy()
+        out[:, 0] = self.first
+        for left, right in self.factors:
+            out += np.outer(left, right)
+        return out
 
 
 def _ratio_coeff(p: ProblemParams) -> float:
@@ -100,7 +121,7 @@ def _ratio_coeff(p: ProblemParams) -> float:
     return p.xi / (gamma(p.alpha) * (1.0 - p.xi))
 
 
-def _singular_coeff(p: ProblemParams, t: float) -> float:
+def _singular_coeff(p: ProblemParams, t: float | np.ndarray) -> float | np.ndarray:
     """Coefficient of the (1-s)^(alpha-beta-1) term; grows affinely in t."""
     return (
         gamma(2.0 - p.beta)
@@ -177,60 +198,53 @@ def companion_eval(p: ProblemParams, t: float, s: float) -> float:
     )
 
 
-def green_row_weights(p: ProblemParams, grid: Grid, t_index: int) -> KernelWeights:
-    """Exact hat-function moments of G(t_i, .) for one grid node t_i.
+def green_operator(p: ProblemParams, grid: Grid) -> KernelOperator:
+    """Exact hat-function moments of G(t_i, .) for every grid node t_i.
 
-    Every term of the kernel has a closed-form moment, so applying the row to
-    samples of y reproduces integral_0^1 G(t_i, s) y(s) ds exactly whenever y
-    is piecewise linear on the grid.  Weights are finite even when the kernel
-    itself is unbounded at s = 1.
+    Every term of the kernel has a closed-form moment, so applying the
+    weights to samples of y reproduces integral_0^1 G(t_i, s) y(s) ds exactly
+    whenever y is piecewise linear on the grid.  Weights are finite even when
+    the kernel itself is unbounded at s = 1.  The left term gives the Toeplitz
+    part; the two (1-s) terms give a rank-2 update.
     """
-    if not (0 <= t_index < grid.n):
-        raise DomainError(f"node index {t_index!r} outside grid of size {grid.n}")
     a, b = p.alpha, p.beta
-    t = float(grid.nodes[t_index])
-    w = left_kernel_moments(a, grid, t_index) / gamma(a)
-    w += _ratio_coeff(p) * right_kernel_moments(a, grid)
-    w -= _singular_coeff(p, t) * right_kernel_moments(a - b, grid)
-    return KernelWeights(grid, w, t_index)
+    column, first = left_kernel_toeplitz(a, grid)
+    return KernelOperator(
+        column / gamma(a),
+        first / gamma(a),
+        (
+            (np.ones(grid.n), _ratio_coeff(p) * right_kernel_moments(a, grid)),
+            (-_singular_coeff(p, grid.nodes), right_kernel_moments(a - b, grid)),
+        ),
+    )
 
 
-def companion_row_weights(p: ProblemParams, grid: Grid, t_index: int) -> KernelWeights:
-    """Exact hat-function moments of H(t_i, .) for one grid node t_i.
+def companion_operator(p: ProblemParams, grid: Grid) -> KernelOperator:
+    """Exact hat-function moments of H(t_i, .) for every grid node t_i.
 
-    At t_0 = 0 with alpha < 2 the row is identically zero, matching
-    D^(alpha-1) u(0) = 0 for every forcing.
+    The indicator term is the trapezoid rule on [0, t_i]: Toeplitz column
+    [h/2, h, h, ...] with column 0 equal to h/2 below row 0.  At t_0 = 0 with
+    alpha < 2 the row is identically zero, matching D^(alpha-1) u(0) = 0 for
+    every forcing.
     """
-    if not (0 <= t_index < grid.n):
-        raise DomainError(f"node index {t_index!r} outside grid of size {grid.n}")
     a, b = p.alpha, p.beta
-    t = float(grid.nodes[t_index])
-    w = indicator_moments(grid, t_index).astype(float)
-    w -= _companion_coeff(p) * t ** (2.0 - a) * right_kernel_moments(a - b, grid)
-    return KernelWeights(grid, w, t_index)
+    h = grid.h
+    column = np.full(grid.n, h)
+    column[0] = 0.5 * h
+    first = np.full(grid.n, 0.5 * h)
+    first[0] = 0.0
+    coeff = _companion_coeff(p) * grid.nodes ** (2.0 - a)
+    return KernelOperator(column, first, ((-coeff, right_kernel_moments(a - b, grid)),))
 
 
 def green_weight_matrix(p: ProblemParams, grid: Grid) -> np.ndarray:
-    """Stacked rows of :func:`green_row_weights` for all grid nodes."""
-    a, b = p.alpha, p.beta
-    t_nodes = grid.nodes
-    left = left_kernel_moment_matrix(a, grid) / gamma(a)
-    right_a = right_kernel_moments(a, grid)
-    right_ab = right_kernel_moments(a - b, grid)
-    sing = (
-        gamma(2.0 - b)
-        * (p.xi + (1.0 - p.xi) * t_nodes)
-        / (gamma(a - b) * (1.0 - p.xi))
-    )
-    return left + _ratio_coeff(p) * right_a[None, :] - np.outer(sing, right_ab)
+    """Dense n x n expansion of :func:`green_operator`; a small-n reference."""
+    return green_operator(p, grid).dense()
 
 
 def companion_weight_matrix(p: ProblemParams, grid: Grid) -> np.ndarray:
-    """Stacked rows of :func:`companion_row_weights` for all grid nodes."""
-    a, b = p.alpha, p.beta
-    right_ab = right_kernel_moments(a - b, grid)
-    coeff = _companion_coeff(p) * grid.nodes ** (2.0 - a)
-    return indicator_moment_matrix(grid) - np.outer(coeff, right_ab)
+    """Dense n x n expansion of :func:`companion_operator`; a small-n reference."""
+    return companion_operator(p, grid).dense()
 
 
 def gstar_coarse_bound(p: ProblemParams) -> float:
@@ -297,35 +311,16 @@ def _abs_kernel_mass(p: ProblemParams, t: float, s_nodes: np.ndarray) -> float:
     return total
 
 
-def _scan_workers() -> int:
-    raw = os.environ.get("FRACBVP_THREADS", "1").strip()
-    try:
-        cap = int(raw)
-    except ValueError:
-        raise DomainError(f"FRACBVP_THREADS must be an integer, got {raw!r}")
-    if cap < 0:
-        raise DomainError(f"FRACBVP_THREADS must be >= 0, got {cap}")
-    if cap == 0:
-        return os.cpu_count() or 1
-    return cap
-
-
 def gstar(p: ProblemParams, n: int = 2049, m: int = 513) -> float:
     """sup over t of integral_0^1 |G(t, s)| ds, scanned on m uniform t nodes.
 
     For each scan node the integral is computed exactly between kernel sign
     changes (see :func:`_abs_kernel_mass`), so n controls only how finely
-    roots are bracketed before bisection.  The scan is embarrassingly
-    parallel; FRACBVP_THREADS > 1 runs it on a thread pool.
+    roots are bracketed before bisection.  The result is the maximum over
+    the scan nodes, a lower bound on the supremum.
     """
     if n < 2 or m < 2:
         raise DomainError(f"need n >= 2 and m >= 2, got n={n}, m={m}")
     s_nodes = np.linspace(0.0, 1.0, n)
     t_scan = np.linspace(0.0, 1.0, m)
-    workers = _scan_workers()
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            vals = list(pool.map(lambda t: _abs_kernel_mass(p, t, s_nodes), t_scan))
-    else:
-        vals = [_abs_kernel_mass(p, float(t), s_nodes) for t in t_scan]
-    return float(max(vals))
+    return float(max(_abs_kernel_mass(p, float(t), s_nodes) for t in t_scan))

@@ -22,7 +22,7 @@ import numpy as np
 from .errors import DivergenceError, DomainError, EvaluationError
 from .expr import Expr, evaluate
 from .fracops import Grid, GridFunction, caputo_grid
-from .greens import ProblemParams, companion_weight_matrix, green_weight_matrix
+from .greens import KernelOperator, ProblemParams, companion_operator, green_operator
 
 DIVERGENCE_CAP = 1e8
 # Constant pair used to re-seed the iteration when the zero start lands on a
@@ -119,13 +119,14 @@ def _rhs_samples(spec: ProblemSpec, pair: SolutionPair) -> np.ndarray:
 def apply_T(
     spec: ProblemSpec,
     pair: SolutionPair,
-    green_w: np.ndarray,
-    companion_w: np.ndarray,
+    green_w: KernelOperator | np.ndarray,
+    companion_w: KernelOperator | np.ndarray,
 ) -> SolutionPair:
     """One application of the integral operator to a pair.
 
-    ``green_w`` and ``companion_w`` are the precomputed weight matrices for
-    the pair's grid (see greens.green_weight_matrix).
+    ``green_w`` and ``companion_w`` are the precomputed weights for the
+    pair's grid: anything with ``.shape`` and ``@``, such as the operators
+    of greens.green_operator or their dense expansions.
     """
     n = pair.grid.n
     if green_w.shape != (n, n) or companion_w.shape != (n, n):
@@ -149,8 +150,8 @@ def _observed_ratio(diffs: list[float]) -> float:
 def _iterate(
     spec: ProblemSpec,
     start: SolutionPair,
-    green_w: np.ndarray,
-    companion_w: np.ndarray,
+    green_w: KernelOperator,
+    companion_w: KernelOperator,
     tol: float,
     max_iter: int,
 ) -> tuple[SolutionPair, IterationReport]:
@@ -207,8 +208,8 @@ def picard_solve(
     if max_iter < 1:
         raise DomainError(f"max_iter must be >= 1, got {max_iter}")
     grid = Grid(n)
-    green_w = green_weight_matrix(spec.params, grid)
-    companion_w = companion_weight_matrix(spec.params, grid)
+    green_w = green_operator(spec.params, grid)
+    companion_w = companion_operator(spec.params, grid)
     pair, report = _iterate(spec, zero_pair(grid), green_w, companion_w, tol, max_iter)
     if report.iterations == 1:
         seed = SolutionPair(
@@ -222,8 +223,8 @@ def picard_solve(
 def linear_solve(params: ProblemParams, y: GridFunction) -> SolutionPair:
     """Solve the linear problem D^alpha u = y by one weight application."""
     grid = y.grid
-    u = green_weight_matrix(params, grid) @ y.values
-    v = companion_weight_matrix(params, grid) @ y.values
+    u = green_operator(params, grid) @ y.values
+    v = companion_operator(params, grid) @ y.values
     return SolutionPair(GridFunction(grid, u), GridFunction(grid, v))
 
 

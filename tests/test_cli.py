@@ -81,6 +81,7 @@ def test_parse_config_errors(tmp_path):
         "alpha = 1.5\nbeta = 0.5\nxi = 0.5\nrhs = 1\npsi_kind = affine\n",  # psi_a missing
         "alpha = 1.5\nbeta = 0.5\nxi = 0.5\nrhs = 1\np_star = 1.0\n",  # psi missing
         "alpha = 1.5\nbeta = 0.5\nxi = 0.5\nrhs = 1\npsi_kind = quadratic\npsi_a = 1\np_star = 1\n",
+        "alpha = 1.5\nbeta = 0.5\nxi = 0.5\nrhs = 1\npsi_kind = constant\npsi_a = 1\npsi_b = 7\np_star = 1\n",
         "alpha = 1.5\nbeta = 0.5\nxi = 0.5\nrhs = 1\ntol =\n",  # empty value
         "alpha = 1.5\nbeta = 0.5\nxi = 0.5\nrhs = sin(\n",  # rhs does not parse
     )
@@ -143,14 +144,25 @@ def test_invalid_config_exit_code(tmp_path, capsys):
     cfg = write_config(tmp_path, text)
     assert main(["solve", "--config", cfg, "--out", str(tmp_path / "x")]) == 2
     assert main(["solve", "--config", str(tmp_path / "missing.cfg")]) == 2
+    # psi_b is affine-only; a constant growth function must not drop it silently
+    text = "alpha = 1.5\nbeta = 0.5\nxi = 0.5\nrhs = 1\npsi_kind = constant\npsi_a = 1\npsi_b = 7\np_star = 1\n"
+    assert main(["certify", "--config", write_config(tmp_path, text)]) == 2
+    assert "psi_b" in capsys.readouterr().err
 
 
-def test_grid_and_tol_overrides(tmp_path):
+def test_grid_and_tol_overrides(tmp_path, capsys):
     cfg = write_config(tmp_path)
     out = tmp_path / "run"
     assert main(["solve", "--config", cfg, "--out", str(out), "--grid", "129", "--tol", "1e-6"]) == 0
     csv_lines = (out / "solution.csv").read_text().splitlines()
     assert len(csv_lines) == 1 + 129
+    for flags, message in (
+        (["--grid", "32"], "--grid must be >= 33, got 32"),
+        (["--tol", "0.5"], "--tol must lie in (0, 1e-2], got 0.5"),
+    ):
+        capsys.readouterr()
+        assert main(["solve", "--config", cfg, "--out", str(out)] + flags) == 2
+        assert message in capsys.readouterr().err
 
 
 def test_certify_report(tmp_path, capsys):

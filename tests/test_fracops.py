@@ -9,18 +9,27 @@ from fracbvp import (
     DomainError,
     Grid,
     GridFunction,
+    KernelOperator,
+    ProblemParams,
     caputo_grid,
     caputo_monomial,
-    frac_integral_grid,
+    companion_operator,
     frac_integral_monomial,
     gamma,
 )
-from fracbvp.fracops import (
-    indicator_moments,
-    left_kernel_moment_matrix,
-    left_kernel_moments,
-    right_kernel_moments,
-)
+from fracbvp.fracops import left_kernel_toeplitz, lower_toeplitz_apply, right_kernel_moments
+
+from conftest import left_moments_row
+
+
+def _left_rows(alpha, g):
+    """Dense left-kernel moment matrix expanded from its Toeplitz data."""
+    return KernelOperator(*left_kernel_toeplitz(alpha, g), ()).dense()
+
+
+def _frac_integral(alpha, g, values):
+    """Product-trapezoid I^alpha f at every node, from the dense moment rows."""
+    return _left_rows(alpha, g) @ values / gamma(alpha)
 
 
 def test_gamma_matches_reference_on_positive_range():
@@ -99,15 +108,13 @@ def test_caputo_monomial_values():
 
 def test_frac_integral_grid_constant_forcing():
     g = Grid(1025)
-    f = GridFunction(g, np.ones(1025))
-    got = frac_integral_grid(1.5, f, 1024)
+    got = _frac_integral(1.5, g, np.ones(1025))[1024]
     assert abs(got - 1.0 / gamma(2.5)) <= 1e-12
 
 
 def test_frac_integral_grid_linear_forcing():
     g = Grid(1025)
-    f = GridFunction(g, g.nodes.copy())
-    got = frac_integral_grid(0.5, f, 1024)
+    got = _frac_integral(0.5, g, g.nodes)[1024]
     want = frac_integral_monomial(0.5, 1.0, 1.0)
     assert abs(got - want) <= 1e-12
 
@@ -117,11 +124,11 @@ def test_frac_integral_grid_exact_on_piecewise_linear():
     # reproduces the monomial closed forms to roundoff
     for n in (33, 129, 512):
         g = Grid(n)
-        f = GridFunction(g, 2.75 * g.nodes - 0.4)
+        got = _frac_integral(1.3, g, 2.75 * g.nodes - 0.4)
         for i in (1, n // 2, n - 1):
             t = g.nodes[i]
             want = 2.75 * frac_integral_monomial(1.3, 1.0, t) - 0.4 * frac_integral_monomial(1.3, 0.0, t)
-            assert abs(frac_integral_grid(1.3, f, i) - want) <= 1e-12
+            assert abs(got[i] - want) <= 1e-12
 
 
 def test_frac_integral_grid_quadratic_convergence():
@@ -130,8 +137,7 @@ def test_frac_integral_grid_quadratic_convergence():
     errs = []
     for n in (129, 257, 513, 1025):
         g = Grid(n)
-        f = GridFunction(g, g.nodes**2 + 3.0 * g.nodes)
-        errs.append(abs(frac_integral_grid(1.5, f, n - 1) - want))
+        errs.append(abs(_frac_integral(1.5, g, g.nodes**2 + 3.0 * g.nodes)[n - 1] - want))
     assert errs[-1] <= 1e-6
     for a, b in zip(errs, errs[1:]):
         assert a / b >= 2.0  # near second order in h
@@ -144,29 +150,28 @@ def test_frac_integral_grid_linearity():
     fb = rng.uniform(-1, 1, size=65)
     a, b = 1.7, -0.9
     for alpha in (0.5, 1.5):
+        lhs = _frac_integral(alpha, g, a * fa + b * fb)
+        rhs = a * _frac_integral(alpha, g, fa) + b * _frac_integral(alpha, g, fb)
         for i in (3, 40, 64):
-            lhs = frac_integral_grid(alpha, GridFunction(g, a * fa + b * fb), i)
-            rhs = a * frac_integral_grid(alpha, GridFunction(g, fa), i) + b * frac_integral_grid(
-                alpha, GridFunction(g, fb), i
-            )
-            assert abs(lhs - rhs) <= 1e-12
+            assert abs(lhs[i] - rhs[i]) <= 1e-12
 
 
 def test_left_kernel_moments_total_mass():
     # weights against f = 1 give the exact moment integral t_i^alpha / alpha
     g = Grid(33)
     for alpha in (0.5, 1.0, 1.5):
+        rows = _left_rows(alpha, g)
         for i in (1, 16, 32):
-            w = left_kernel_moments(alpha, g, i)
-            assert abs(w.sum() - g.nodes[i] ** alpha / alpha) <= 1e-14
-            assert np.all(w[i + 1 :] == 0.0)
+            assert abs(rows[i].sum() - g.nodes[i] ** alpha / alpha) <= 1e-14
+            assert np.all(rows[i, i + 1 :] == 0.0)
 
 
 def test_left_kernel_moment_matrix_rows():
+    # the Toeplitz data expands to the moments computed cell by cell
     g = Grid(17)
-    mat = left_kernel_moment_matrix(0.8, g)
-    for i in (0, 5, 16):
-        np.testing.assert_allclose(mat[i], left_kernel_moments(0.8, g, i), atol=1e-15)
+    mat = _left_rows(0.8, g)
+    for i in range(17):
+        np.testing.assert_allclose(mat[i], left_moments_row(0.8, g, i), atol=1e-15)
 
 
 def test_right_kernel_moments_total_mass():
@@ -178,13 +183,24 @@ def test_right_kernel_moments_total_mass():
 
 
 def test_indicator_moments_trapezoid():
+    # the indicator part of the companion operator is the trapezoid rule
     g = Grid(9)
-    w = indicator_moments(g, 4)
+    h = companion_operator(ProblemParams(1.5, 0.5, 0.5), g)
+    rows = KernelOperator(h.column, h.first, ()).dense()
+    w = rows[4]
     assert abs(w.sum() - g.nodes[4]) <= 1e-15
     assert w[0] == pytest.approx(g.h / 2)
     assert w[4] == pytest.approx(g.h / 2)
     assert np.all(w[5:] == 0.0)
-    assert np.all(indicator_moments(g, 0) == 0.0)
+    assert np.all(rows[0] == 0.0)
+
+
+def test_lower_toeplitz_apply_matches_convolution():
+    rng = np.random.default_rng(5)
+    for n in (1, 2, 3, 64, 1000):
+        c, x = rng.uniform(-1, 1, size=n), rng.uniform(-1, 1, size=n)
+        want = np.convolve(c, x)[:n]
+        assert np.max(np.abs(lower_toeplitz_apply(c, x) - want)) <= 1e-13 * n
 
 
 def test_caputo_grid_kills_constants():

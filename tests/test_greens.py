@@ -2,23 +2,29 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fracbvp import (
     DomainError,
     Grid,
+    KernelOperator,
     ProblemParams,
     SingularityError,
     companion_eval,
-    companion_row_weights,
+    companion_operator,
     companion_weight_matrix,
     gamma,
     green_eval,
-    green_row_weights,
+    green_operator,
     green_weight_matrix,
     gstar,
     gstar_coarse_bound,
 )
+from fracbvp.fracops import right_kernel_moments
 from fracbvp.greens import green_branch_value
+
+from conftest import left_moments_row
 
 # frozen from a sign-change-exact evaluation at n = 2049, m = 513, cross
 # checked against a 400000-point midpoint rule (agreement 5.4e-10)
@@ -129,22 +135,71 @@ def test_row_weights_match_midpoint_rule(example_params):
         green_branch_value(example_params, t, s, left=False),
     )
     brute = float(np.sum(kern * yy) / ns)
-    quad = green_row_weights(example_params, g, i).apply(y)
+    quad = float(green_weight_matrix(example_params, g)[i] @ y)
     assert abs(quad - brute) <= 1e-8
 
     comp = np.where(s <= t, 1.0, 0.0) - t**0.5 * np.ones(ns)
     brute_h = float(np.sum(comp * yy) / ns)
-    quad_h = companion_row_weights(example_params, g, i).apply(y)
+    quad_h = float(companion_weight_matrix(example_params, g)[i] @ y)
     assert abs(quad_h - brute_h) <= 1e-10
 
 
 def test_weight_matrices_match_rows(example_params):
-    g = Grid(129)
-    gm = green_weight_matrix(example_params, g)
-    hm = companion_weight_matrix(example_params, g)
+    # rows assembled term by term from the kernel formulas, one node at a time
+    p, g = example_params, Grid(129)
+    a, b, xi, h = p.alpha, p.beta, p.xi, g.h
+    right_a, right_ab = right_kernel_moments(a, g), right_kernel_moments(a - b, g)
+    gm = green_weight_matrix(p, g)
+    hm = companion_weight_matrix(p, g)
     for i in (0, 1, 64, 128):
-        np.testing.assert_allclose(gm[i], green_row_weights(example_params, g, i).weights, atol=1e-15)
-        np.testing.assert_allclose(hm[i], companion_row_weights(example_params, g, i).weights, atol=1e-15)
+        t = g.nodes[i]
+        sing = gamma(2.0 - b) * (xi + (1.0 - xi) * t) / (gamma(a - b) * (1.0 - xi))
+        row = left_moments_row(a, g, i) / gamma(a) + xi / (gamma(a) * (1.0 - xi)) * right_a
+        row -= sing * right_ab
+        np.testing.assert_allclose(gm[i], row, atol=1e-15)
+        indicator = np.zeros(g.n)
+        if i > 0:
+            indicator[: i + 1] = h
+            indicator[[0, i]] = 0.5 * h
+        coeff = gamma(2.0 - b) / (gamma(3.0 - a) * gamma(a - b)) * t ** (2.0 - a)
+        np.testing.assert_allclose(hm[i], indicator - coeff * right_ab, atol=1e-15)
+
+
+@st.composite
+def _box_params(draw):
+    """(alpha, beta, xi) from the whole box, or pinned near one of its edges."""
+    alpha = draw(st.floats(1.0, 2.0, exclude_min=True))
+    beta = draw(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True))
+    xi = draw(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True))
+    gap = draw(st.floats(1e-12, 1e-3))
+    edge = draw(st.sampled_from(("box", "alpha->1", "alpha=2", "alpha-beta->0", "xi->1")))
+    if edge == "alpha->1":
+        alpha = 1.0 + gap
+    elif edge == "alpha=2":
+        alpha = 2.0
+    elif edge == "alpha-beta->0":
+        alpha, beta = 1.0 + gap / 2, 1.0 - gap / 2
+    elif edge == "xi->1":
+        xi = 1.0 - gap
+    return ProblemParams(alpha, beta, xi)
+
+
+@settings(max_examples=40, deadline=None)
+@given(p=_box_params(), n=st.integers(2, 2049), seed=st.integers(0, 2**32 - 1))
+def test_operator_matches_dense(p, n, seed):
+    # The error is measured against the size of the terms the operator sums:
+    # near beta = 0 with xi -> 1 the two rank-1 terms are each ~1/(1-xi) and
+    # cancel to O(1), so any two summation orders, the dense one included,
+    # differ by eps/(1-xi) relative to the result.
+    f = np.random.default_rng(seed).uniform(-1.0, 1.0, size=n)
+    g = Grid(n)
+    for op in (green_operator(p, g), companion_operator(p, g)):
+        assert op.shape == (n, n)
+        terms = KernelOperator(np.abs(op.column), np.abs(op.first), ()).dense() @ np.abs(f)
+        for left, right in op.factors:
+            terms += np.abs(left) * (np.abs(right) @ np.abs(f))
+        err = np.max(np.abs(op @ f - op.dense() @ f))
+        assert err <= 1e-13 * np.max(terms)
 
 
 def test_constant_forcing_closed_form(example_params):
@@ -196,21 +251,6 @@ def test_gstar_domain_checks(example_params):
         gstar(example_params, n=1, m=17)
     with pytest.raises(DomainError):
         gstar(example_params, n=65, m=1)
-
-
-def test_gstar_thread_pool_agrees(example_params, monkeypatch):
-    serial = gstar(example_params, n=257, m=17)
-    monkeypatch.setenv("FRACBVP_THREADS", "2")
-    pooled = gstar(example_params, n=257, m=17)
-    assert pooled == serial
-    monkeypatch.setenv("FRACBVP_THREADS", "0")  # auto
-    assert gstar(example_params, n=257, m=17) == serial
-    monkeypatch.setenv("FRACBVP_THREADS", "many")
-    with pytest.raises(DomainError):
-        gstar(example_params, n=257, m=17)
-    monkeypatch.setenv("FRACBVP_THREADS", "-1")
-    with pytest.raises(DomainError):
-        gstar(example_params, n=257, m=17)
 
 
 def test_coarse_bound_value(example_params):

@@ -59,6 +59,18 @@ def test_linear_solve_constant_forcing(example_params):
     assert abs(pair.u.values[0] + 0.1339741473890843) <= 1e-12
 
 
+def test_linear_solve_constant_forcing_large_grid(example_params):
+    # 2^16 + 1 nodes: dense weight matrices would need about 69 GB here
+    n = 2**16 + 1
+    g = Grid(n)
+    pair = linear_solve(example_params, GridFunction(g, np.ones(n)))
+    want_u = g.nodes**1.5 / gamma(2.5) + 1.0 / gamma(2.5) - gamma(1.5) * (g.nodes + 1.0)
+    assert np.max(np.abs(pair.u.values - want_u)) <= 1e-12
+    assert np.max(np.abs(pair.v.values - (g.nodes - np.sqrt(g.nodes)))) <= 1e-12
+    assert abs(pair.u.values[0] - 0.5 * pair.u.values[-1]) <= 1e-15
+    assert pair.v.values[0] == 0.0
+
+
 def test_linear_solve_boundary_property():
     rng = np.random.default_rng(101)
     g = Grid(129)
