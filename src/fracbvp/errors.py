@@ -33,7 +33,15 @@ class UnknownIdentifierError(ParseError):
 
 
 class EvaluationError(FracbvpError, ArithmeticError):
-    """Expression evaluation hit a point outside its real domain or overflowed."""
+    """Expression evaluation hit a point outside its real domain or overflowed.
+
+    ``index`` is the flat index of the failing point in an array evaluation
+    (0 for a scalar one).
+    """
+
+    def __init__(self, message: str, index: int = 0):
+        super().__init__(message)
+        self.index = index
 
 
 class DivergenceError(FracbvpError, RuntimeError):

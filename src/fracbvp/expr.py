@@ -20,6 +20,8 @@ import math
 from dataclasses import dataclass
 from typing import Union
 
+import numpy as np
+
 from .errors import DomainError, EvaluationError, ParseError, UnknownIdentifierError
 
 VARIABLES = ("t", "u", "v")
@@ -176,7 +178,14 @@ class _Parser:
         tok = self.peek()
         if tok.kind == "num":
             self.advance()
-            return Num(float(tok.text))
+            value = float(tok.text)
+            if not math.isfinite(value):
+                raise ParseError(
+                    f"numeric literal {tok.text!r} at offset {tok.offset} is not finite",
+                    tok.offset,
+                    ("finite number",),
+                )
+            return Num(value)
         if tok.kind == "ident":
             self.advance()
             name = tok.text
@@ -215,33 +224,26 @@ def parse(source: str) -> Expr:
     return _Parser(source).parse()
 
 
-def _pow(base: float, exponent: float) -> float:
-    if base == 0.0 and exponent < 0.0:
-        raise EvaluationError("zero raised to a negative power")
-    if base < 0.0 and exponent != math.floor(exponent):
-        raise EvaluationError("fractional power of a negative base")
-    try:
-        return math.pow(base, exponent)
-    except OverflowError:
-        raise EvaluationError("overflow in power") from None
+_UNARY = {"sin": np.sin, "cos": np.cos, "ln": np.log, "sqrt": np.sqrt, "abs": np.abs}
 
 
-def evaluate(e: Expr, t: float, u: float, v: float) -> float:
-    """Evaluate the tree at the point (t, u, v).
+def _check(fails: list, mask: np.ndarray, message: str) -> None:
+    if mask.any():
+        fails.append((message, mask))
 
-    Deterministic tree walk; raises :class:`EvaluationError` on division by
-    zero, ln of a non-positive value, sqrt of a negative value, fractional
-    powers of negative bases, and floating-point overflow.
-    """
+
+def _walk(e: Expr, env: dict[str, np.ndarray], fails: list) -> np.ndarray:
+    # Post-order walk, one numpy operation per node.  Every check that flags
+    # some point is appended to ``fails`` in the order the checks run.
     if isinstance(e, Num):
-        return e.value
+        return np.full(env["t"].shape, e.value)
     if isinstance(e, Var):
-        return {"t": t, "u": u, "v": v}[e.name]
+        return env[e.name].copy()
     if isinstance(e, Neg):
-        return -evaluate(e.operand, t, u, v)
+        return -_walk(e.operand, env, fails)
     if isinstance(e, BinOp):
-        a = evaluate(e.left, t, u, v)
-        b = evaluate(e.right, t, u, v)
+        a = _walk(e.left, env, fails)
+        b = _walk(e.right, env, fails)
         if e.op == "+":
             out = a + b
         elif e.op == "-":
@@ -249,35 +251,59 @@ def evaluate(e: Expr, t: float, u: float, v: float) -> float:
         elif e.op == "*":
             out = a * b
         elif e.op == "/":
-            if b == 0.0:
-                raise EvaluationError("division by zero")
+            _check(fails, b == 0.0, "division by zero")
             out = a / b
         else:
-            out = _pow(a, b)
-        if not math.isfinite(out):
-            raise EvaluationError(f"non-finite result from {e.op!r}")
+            _check(fails, (a == 0.0) & (b < 0.0), "zero raised to a negative power")
+            _check(
+                fails, (a < 0.0) & (b != np.floor(b)), "fractional power of a negative base"
+            )
+            out = np.power(a, b)
+            overflow = np.isinf(out) & np.isfinite(a) & np.isfinite(b)
+            _check(fails, overflow, "overflow in power")
+        _check(fails, ~np.isfinite(out), f"non-finite result from {e.op!r}")
         return out
     if isinstance(e, Call):
-        x = evaluate(e.arg, t, u, v)
-        if e.func == "sin":
-            return math.sin(x)
-        if e.func == "cos":
-            return math.cos(x)
+        x = _walk(e.arg, env, fails)
         if e.func == "exp":
-            try:
-                return math.exp(x)
-            except OverflowError:
-                raise EvaluationError("overflow in exp") from None
+            out = np.exp(x)
+            _check(fails, np.isinf(out) & np.isfinite(x), "overflow in exp")
+            return out
         if e.func == "ln":
-            if x <= 0.0:
-                raise EvaluationError("ln of a non-positive value")
-            return math.log(x)
-        if e.func == "sqrt":
-            if x < 0.0:
-                raise EvaluationError("sqrt of a negative value")
-            return math.sqrt(x)
-        return abs(x)
+            _check(fails, x <= 0.0, "ln of a non-positive value")
+        elif e.func == "sqrt":
+            _check(fails, x < 0.0, "sqrt of a negative value")
+        return _UNARY[e.func](x)
     raise TypeError(f"not an expression node: {e!r}")
+
+
+def evaluate(
+    e: Expr, t: float | np.ndarray, u: float | np.ndarray, v: float | np.ndarray
+) -> float | np.ndarray:
+    """Evaluate the tree at the point (t, u, v), or at every point of arrays.
+
+    Floats give a float; equal-shape arrays give an array of that shape, one
+    numpy operation per tree node.  Raises :class:`EvaluationError` on
+    division by zero, ln of a non-positive value, sqrt of a negative value,
+    zero to a negative power, fractional powers of negative bases, and
+    floating-point overflow.  For arrays the error names the lowest failing
+    flat index (``.index``) and carries the message of that point's first
+    failing operation in evaluation order, as a scalar call there would.
+    """
+    t, u, v = np.broadcast_arrays(*(np.asarray(x, dtype=float) for x in (t, u, v)))
+    # always 1-d inside: numpy computes 0-d x^2, x^0.5 and x^-1 by special
+    # cases that can differ from its array loop by an ulp
+    env = {"t": t.reshape(-1), "u": u.reshape(-1), "v": v.reshape(-1)}
+    fails: list[tuple[str, np.ndarray]] = []
+    with np.errstate(all="ignore"):
+        out = _walk(e, env, fails)
+    if fails:
+        index = min(int(np.flatnonzero(mask)[0]) for _, mask in fails)
+        message = next(msg for msg, mask in fails if mask[index])
+        raise EvaluationError(message, index)
+    if t.ndim == 0:
+        return float(out[0])
+    return out.reshape(t.shape)
 
 
 def to_source(e: Expr) -> str:
@@ -311,15 +337,19 @@ def lipschitz_estimate(e: Expr, t_samples: int = 65, bound: float = 10.0) -> flo
         raise DomainError(f"need at least 16 t samples, got {t_samples}")
     if not (math.isfinite(bound) and bound > 0.0):
         raise DomainError(f"state bound must be > 0, got {bound!r}")
-    ts = [i / (t_samples - 1) for i in range(t_samples)]
-    lattice = [-bound, -0.5 * bound, 0.0, 0.5 * bound, bound]
-    best = 0.0
-    for t in ts:
-        for u in lattice:
-            du = 1e-6 * (1.0 + abs(u))
-            for v in lattice:
-                dv = 1e-6 * (1.0 + abs(v))
-                fu = (evaluate(e, t, u + du, v) - evaluate(e, t, u - du, v)) / (2 * du)
-                fv = (evaluate(e, t, u, v + dv) - evaluate(e, t, u, v - dv)) / (2 * dv)
-                best = max(best, abs(fu), abs(fv))
-    return best
+    ts = np.arange(t_samples) / (t_samples - 1)
+    lattice = np.array([-bound, -0.5 * bound, 0.0, 0.5 * bound, bound])
+    u, v = np.meshgrid(lattice, lattice, indexing="ij")
+    du, dv = 1e-6 * (1.0 + np.abs(u)), 1e-6 * (1.0 + np.abs(v))
+    # axes (t, u, v, probe); C order is the order of the nested scalar loop
+    # t -> u -> v -> (u+du, u-du, v+dv, v-dv), so the first failing point
+    # reported is the one that loop would have hit first
+    f = evaluate(
+        e,
+        ts[:, None, None, None],
+        np.stack([u + du, u - du, u, u], axis=-1),
+        np.stack([v, v, v + dv, v - dv], axis=-1),
+    )
+    fu = (f[..., 0] - f[..., 1]) / (2 * du)
+    fv = (f[..., 2] - f[..., 3]) / (2 * dv)
+    return float(max(np.max(np.abs(fu)), np.max(np.abs(fv))))

@@ -99,21 +99,13 @@ def pair_norm(a: SolutionPair) -> float:
 
 def _rhs_samples(spec: ProblemSpec, pair: SolutionPair) -> np.ndarray:
     nodes = pair.grid.nodes
-    u, v = pair.u.values, pair.v.values
-    out = np.empty(pair.grid.n)
-    for j in range(pair.grid.n):
-        try:
-            val = evaluate(spec.rhs, float(nodes[j]), float(u[j]), float(v[j]))
-        except EvaluationError as exc:
-            raise EvaluationError(
-                f"right-hand side failed at node {j} (t={nodes[j]:.6g}): {exc}"
-            ) from exc
-        if not math.isfinite(val):
-            raise EvaluationError(
-                f"right-hand side is not finite at node {j} (t={nodes[j]:.6g})"
-            )
-        out[j] = val
-    return out
+    try:
+        return evaluate(spec.rhs, nodes, pair.u.values, pair.v.values)
+    except EvaluationError as exc:
+        j = exc.index
+        raise EvaluationError(
+            f"right-hand side failed at node {j} (t={nodes[j]:.6g}): {exc}", j
+        ) from exc
 
 
 def apply_T(

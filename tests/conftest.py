@@ -5,10 +5,14 @@ f(t, u, v) = sin(t)^2 / (11 (e^{2t} + 3 e^t + 1)) * (3 + t + 5u + v),
 Lipschitz constant k = 1/11 in the pair norm.
 """
 
+import math
+
 import numpy as np
 import pytest
 
 from fracbvp import ProblemParams, ProblemSpec, parse, picard_solve
+from fracbvp.errors import EvaluationError
+from fracbvp.expr import BinOp, Call, Neg, Num, Var
 
 EXAMPLE_RHS = "sin(t)^2/(11*(exp(2*t)+3*exp(t)+1))*(3+t+5*u+v)"
 EXAMPLE_K = 1.0 / 11.0
@@ -47,3 +51,64 @@ def left_moments_row(alpha, grid, i):
     w[:i] += p0 - p_up
     w[1 : i + 1] += p_up
     return w
+
+
+def _oracle_pow(base, exponent):
+    if base == 0.0 and exponent < 0.0:
+        raise EvaluationError("zero raised to a negative power")
+    if base < 0.0 and exponent != math.floor(exponent):
+        raise EvaluationError("fractional power of a negative base")
+    try:
+        return math.pow(base, exponent)
+    except OverflowError:
+        raise EvaluationError("overflow in power") from None
+
+
+def oracle_evaluate(e, t, u, v):
+    """Reference scalar evaluation: a recursive walk on Python floats and
+    the math module that raises at the first failing operation."""
+    if isinstance(e, Num):
+        return e.value
+    if isinstance(e, Var):
+        return {"t": t, "u": u, "v": v}[e.name]
+    if isinstance(e, Neg):
+        return -oracle_evaluate(e.operand, t, u, v)
+    if isinstance(e, BinOp):
+        a = oracle_evaluate(e.left, t, u, v)
+        b = oracle_evaluate(e.right, t, u, v)
+        if e.op == "+":
+            out = a + b
+        elif e.op == "-":
+            out = a - b
+        elif e.op == "*":
+            out = a * b
+        elif e.op == "/":
+            if b == 0.0:
+                raise EvaluationError("division by zero")
+            out = a / b
+        else:
+            out = _oracle_pow(a, b)
+        if not math.isfinite(out):
+            raise EvaluationError(f"non-finite result from {e.op!r}")
+        return out
+    if isinstance(e, Call):
+        x = oracle_evaluate(e.arg, t, u, v)
+        if e.func == "sin":
+            return math.sin(x)
+        if e.func == "cos":
+            return math.cos(x)
+        if e.func == "exp":
+            try:
+                return math.exp(x)
+            except OverflowError:
+                raise EvaluationError("overflow in exp") from None
+        if e.func == "ln":
+            if x <= 0.0:
+                raise EvaluationError("ln of a non-positive value")
+            return math.log(x)
+        if e.func == "sqrt":
+            if x < 0.0:
+                raise EvaluationError("sqrt of a negative value")
+            return math.sqrt(x)
+        return abs(x)
+    raise TypeError(f"not an expression node: {e!r}")

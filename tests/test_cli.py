@@ -148,6 +148,12 @@ def test_invalid_config_exit_code(tmp_path, capsys):
     text = "alpha = 1.5\nbeta = 0.5\nxi = 0.5\nrhs = 1\npsi_kind = constant\npsi_a = 1\npsi_b = 7\np_star = 1\n"
     assert main(["certify", "--config", write_config(tmp_path, text)]) == 2
     assert "psi_b" in capsys.readouterr().err
+    # an overflowing literal is a parse error, not a math domain error later
+    text = "alpha = 1.5\nbeta = 0.5\nxi = 0.5\nrhs = sin(1e400)\ngrid_n = 129\n"
+    cfg = write_config(tmp_path, text)
+    for cmd in (["solve", "--config", cfg, "--out", str(tmp_path / "y")], ["certify", "--config", cfg]):
+        assert main(cmd) == 2
+        assert "'1e400' at offset 5 is not finite" in capsys.readouterr().err
 
 
 def test_grid_and_tol_overrides(tmp_path, capsys):

@@ -2,11 +2,16 @@
 
 import math
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fracbvp import DomainError, evaluate, lipschitz_estimate, parse
 from fracbvp.errors import EvaluationError, ParseError, UnknownIdentifierError
 from fracbvp.expr import BinOp, Call, Neg, Num, Var, to_source
+
+from conftest import oracle_evaluate
 
 # round-trip corpus: every production, every function, assorted shapes
 EXPRESSION_CORPUS = (
@@ -138,6 +143,8 @@ def test_parse_error_offsets():
         ("2 $ 3", 3),
         ("(1+2", 5),
         ("", 1),
+        ("1e400", 1),
+        ("sin(t+1e999)", 7),
     )
     for src, offset in cases:
         with pytest.raises(ParseError) as info:
@@ -164,17 +171,34 @@ def test_trailing_garbage_rejected():
 
 def test_evaluation_errors():
     bad = (
-        ("1/t", 0.0),
-        ("ln(t)", 0.0),
-        ("ln(0-1)", 1.0),
-        ("sqrt(0-1)", 1.0),
-        ("(0-2)^0.5", 1.0),
-        ("0^-1", 1.0),
-        ("exp(exp(exp(exp(t))))", 1.0),
+        ("1/t", 0.0, "division by zero"),
+        ("ln(t)", 0.0, "ln of a non-positive value"),
+        ("ln(0-1)", 1.0, "ln of a non-positive value"),
+        ("sqrt(0-1)", 1.0, "sqrt of a negative value"),
+        ("(0-2)^0.5", 1.0, "fractional power of a negative base"),
+        ("0^-1", 1.0, "zero raised to a negative power"),
+        ("10^400", 1.0, "overflow in power"),
+        ("exp(800)", 1.0, "overflow in exp"),
+        ("exp(exp(exp(exp(t))))", 1.0, "overflow in exp"),
+        ("1e300*1e300", 1.0, "non-finite result from '*'"),
+        # both operands fail at t = 0: the first in evaluation order wins
+        ("1/t+ln(t)", 0.0, "division by zero"),
+        ("ln(t)+1/t", 0.0, "ln of a non-positive value"),
     )
-    for src, t in bad:
-        with pytest.raises(EvaluationError):
-            evaluate(parse(src), t, 0.0, 0.0)
+    for src, t, message in bad:
+        tree = parse(src)
+        for call in (evaluate, oracle_evaluate):
+            with pytest.raises(EvaluationError) as info:
+                call(tree, t, 0.0, 0.0)
+            assert str(info.value) == message, src
+        # an array call names the first point where a scalar call fails
+        ts = np.array([0.5, 0.5, t, t])
+        first = next(
+            j for j, tj in enumerate(ts) if _outcome(lambda: oracle_evaluate(tree, tj, 0, 0))[1]
+        )
+        with pytest.raises(EvaluationError) as info:
+            evaluate(tree, ts, np.zeros(4), np.zeros(4))
+        assert (str(info.value), info.value.index) == (message, first), src
 
 
 def test_example_rhs_zero_at_origin():
@@ -208,3 +232,125 @@ def test_lipschitz_estimate_domain_checks():
         lipschitz_estimate(tree, t_samples=8)
     with pytest.raises(DomainError):
         lipschitz_estimate(tree, bound=0.0)
+
+
+# entries that reach each domain check and the overflow checks from
+# points in [-10, 10]
+DOMAIN_EXPRESSIONS = (
+    "exp(80*u)",
+    "10^(40*t)",
+    "ln(t*u)",
+    "sqrt(v)",
+    "u^(t/2)",
+    "t^(0-abs(u))",
+    "1/(t-u)",
+    "1/t+ln(u)",
+    "ln(u)+1/t",
+)
+
+POINT = st.one_of(
+    st.sampled_from((0.0, -0.0, 1.0, -1.0, 0.5, -0.5, 2.0, 1e-300, -1e-300)),
+    st.floats(-10.0, 10.0),
+)
+
+
+def _outcome(call):
+    try:
+        return call(), None
+    except EvaluationError as exc:
+        return None, exc
+
+
+def _first_failure(tree, t, u, v, fn):
+    """Values of fn at every point, or the lowest failing index and its error."""
+    values = []
+    for j in range(len(t)):
+        val, exc = _outcome(lambda: fn(tree, float(t[j]), float(u[j]), float(v[j])))
+        if exc is not None:
+            return None, (j, type(exc), str(exc))
+        values.append(val)
+    return np.array(values), None
+
+
+@settings(max_examples=300, deadline=None)
+@given(src=st.sampled_from(EXPRESSION_CORPUS + DOMAIN_EXPRESSIONS), data=st.data())
+def test_array_evaluate_matches_scalar_calls_and_oracle(src, data):
+    size = data.draw(st.integers(1, 12))
+    t, u, v = (
+        np.array(data.draw(st.lists(POINT, min_size=size, max_size=size)))
+        for _ in range(3)
+    )
+    tree = parse(src)
+    got, exc = _outcome(lambda: evaluate(tree, t, u, v))
+    scalar, scalar_fail = _first_failure(tree, t, u, v, evaluate)
+    oracle, oracle_fail = _first_failure(tree, t, u, v, oracle_evaluate)
+    if exc is None:
+        assert scalar_fail is None and oracle_fail is None, src
+        assert got.shape == t.shape
+        assert got.tobytes() == scalar.tobytes(), src  # bit for bit
+        assert got == pytest.approx(oracle, rel=1e-12, abs=1e-12), src
+    else:
+        assert (exc.index, type(exc), str(exc)) == scalar_fail == oracle_fail, src
+
+
+@pytest.mark.parametrize(
+    "src, want",
+    [("(0-2)^3", -8.0), ("(0-2)^2", 4.0), ("0^0", 1.0), ("2^-1", 0.5)],
+)
+def test_power_values(src, want):
+    tree = parse(src)
+    assert evaluate(tree, 0.0, 0.0, 0.0) == want == oracle_evaluate(tree, 0.0, 0.0, 0.0)
+    assert evaluate(tree, np.zeros(3), np.zeros(3), np.zeros(3)).tolist() == [want] * 3
+
+
+def test_evaluate_scalar_returns_float_and_arrays_keep_shape():
+    tree = parse("t*u+v")
+    assert type(evaluate(tree, 1.0, 2.0, 3.0)) is float
+    t = np.linspace(0.0, 1.0, 6).reshape(2, 3)
+    out = evaluate(tree, t, t, t)
+    assert out.shape == (2, 3)
+    assert evaluate(parse("2"), t, t, t).tolist() == [[2.0] * 3] * 2
+
+
+def test_evaluate_result_does_not_alias_inputs():
+    u = np.arange(4.0)
+    out = evaluate(parse("u"), np.zeros(4), u, np.zeros(4))
+    out[0] = 7.0
+    assert u[0] == 0.0
+
+
+def test_lipschitz_estimate_reports_first_failure_in_loop_order():
+    # sqrt(5-u) first fails at t=0, u=5, probe u+du; ln(1-t) fails only at
+    # t=1, later in the (t, u, v, probe) order although earlier in the tree
+    with pytest.raises(EvaluationError) as info:
+        lipschitz_estimate(parse("ln(1-t)+sqrt(5-u)"))
+    assert str(info.value) == "sqrt of a negative value"
+    with pytest.raises(EvaluationError) as info:
+        lipschitz_estimate(parse("ln(t)+sqrt(5-u)"))
+    assert str(info.value) == "ln of a non-positive value"
+
+
+def _oracle_lipschitz(tree, t_samples=65, bound=10.0):
+    # the scalar (t, u, v) loop on the oracle walk
+    lattice = [-bound, -0.5 * bound, 0.0, 0.5 * bound, bound]
+    best = 0.0
+    for i in range(t_samples):
+        t = i / (t_samples - 1)
+        for u in lattice:
+            du = 1e-6 * (1.0 + abs(u))
+            for v in lattice:
+                dv = 1e-6 * (1.0 + abs(v))
+                fu = oracle_evaluate(tree, t, u + du, v) - oracle_evaluate(tree, t, u - du, v)
+                fv = oracle_evaluate(tree, t, u, v + dv) - oracle_evaluate(tree, t, u, v - dv)
+                best = max(best, abs(fu / (2 * du)), abs(fv / (2 * dv)))
+    return best
+
+
+@pytest.mark.parametrize(
+    "src",
+    ["sin(t)^2/(11*(exp(2*t)+3*exp(t)+1))*(3+t+5*u+v)", "sin(u)*cos(v)", "u*v/(1+u^2)"],
+)
+def test_lipschitz_estimate_matches_scalar_loop(src):
+    # a 1-ulp change in f moves a central difference by ~eps*|f|/2e-6
+    tree = parse(src)
+    assert lipschitz_estimate(tree) == pytest.approx(_oracle_lipschitz(tree), rel=1e-8)

@@ -154,6 +154,14 @@ def test_rhs_evaluation_error_reports_node(example_params):
     with pytest.raises(EvaluationError) as info:
         picard_solve(spec, 129)
     assert "0.5" in str(info.value)
+    # ln(t) fails at node 0, the division only later at t = 0.5 (node 16)
+    spec = ProblemSpec(example_params, parse("1/(t-0.5) + ln(t)"))
+    with pytest.raises(EvaluationError) as info:
+        picard_solve(spec, 33)
+    assert str(info.value) == (
+        "right-hand side failed at node 0 (t=0): ln of a non-positive value"
+    )
+    assert info.value.index == 0
 
 
 def test_alpha_two_linear_solve():
