@@ -149,7 +149,8 @@ def certify(
 
     When no Lipschitz constant is supplied, one is estimated by sampled
     finite differences of the right-hand side and the certificate is flagged
-    ``estimated_k``.  ``n`` and ``m`` control the gstar computation.
+    ``estimated_k``.  ``m`` is the number of t nodes of the gstar scan;
+    ``n`` no longer affects gstar and is kept only for the signature.
     """
     params = spec.params
     gs = gstar(params, n=n, m=m)

@@ -8,6 +8,7 @@ docs/config-format.md.  Exit codes: 0 on success, 2 on configuration errors,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -386,7 +387,10 @@ def cmd_example() -> int:
     return 0
 
 
+@functools.cache
 def _build_arg_parser() -> argparse.ArgumentParser:
+    # Built once per process: parse_args fills a fresh namespace per call,
+    # so one main call's arguments never reach the next.
     ap = argparse.ArgumentParser(
         prog="fracbvp",
         description="Solve and certify Caputo fractional boundary value "

@@ -30,6 +30,18 @@ take O(n) memory and apply in O(n log n).  :func:`green_operator` and
 dense n x n matrices of :func:`green_weight_matrix` and
 :func:`companion_weight_matrix` are their expansions, kept as a small-n
 reference for tests.
+
+For each t, G(t, .) changes sign at most once, from + to -.  With r = 1-s,
+A = xi/(Gamma(alpha)(1-xi)) and B(t) the coefficient of the singular term,
+
+    g(s) = G(t, s) / r^(alpha-beta-1)
+         = r^beta [((t-s)_+ / r)^(alpha-1) / Gamma(alpha) + A] - B(t)
+
+on both branches, and g strictly decreases on [0, 1): r^beta strictly
+decreases, d/ds (t-s)/(1-s) = (t-1)/(1-s)^2 <= 0, and the bracket is at
+least A > 0.  So integral_0^1 |G(t, s)| ds has a closed form in the one
+sign change s*(t), which is how :func:`gstar` scans all t in one array
+pass.
 """
 
 from __future__ import annotations
@@ -47,12 +59,6 @@ from .fracops import (
     lower_toeplitz_apply,
     right_kernel_moments,
 )
-
-_BISECTION_STEPS = 60
-# Probe abscissa used instead of s = 1 when classifying kernel signs; the
-# kernel may be unbounded at 1 itself.
-_SIGN_PROBE_GAP = 1e-12
-
 
 @dataclass(frozen=True)
 class ProblemParams:
@@ -147,7 +153,7 @@ def green_branch_value(p: ProblemParams, t: float, s, left: bool):
     ``left=True`` selects the branch valid for s <= t (it adds the
     (t-s)^(alpha-1) term); ``left=False`` the branch for s >= t.  Both
     formulas are real-analytic in s below 1, so either can be continued past
-    s = t, which is what the sign-scanning quadrature needs.
+    s = t.
     """
     a, b = p.alpha, p.beta
     s = np.asarray(s, dtype=float) if not np.isscalar(s) else float(s)
@@ -259,68 +265,78 @@ def gstar_coarse_bound(p: ProblemParams) -> float:
     return (1.0 / gamma(a + 1.0) + gamma(2.0 - b) / gamma(a - b + 1.0)) / (1.0 - p.xi)
 
 
-def _branch_piece(p: ProblemParams, t: float, a_pt: float, b_pt: float, left: bool) -> float:
-    """Exact integral of the fixed-branch kernel over [a_pt, b_pt]."""
-    a, b = p.alpha, p.beta
-    rema, remb = 1.0 - a_pt, 1.0 - b_pt
-    val = _ratio_coeff(p) * (rema**a - remb**a) / a
-    val -= _singular_coeff(p, t) * (rema ** (a - b) - remb ** (a - b)) / (a - b)
-    if left:
-        val += ((t - a_pt) ** a - max(t - b_pt, 0.0) ** a) / (a * gamma(a))
-    return val
+def green_sign_change(p: ProblemParams, t) -> np.ndarray:
+    """The point s* in [0, 1] where G(t, .) changes sign, for an array of t.
 
-
-def _bisect_root(p: ProblemParams, t: float, lo: float, hi: float, left: bool) -> float:
-    f_lo = float(green_branch_value(p, t, min(lo, 1.0 - _SIGN_PROBE_GAP), left))
-    for _ in range(_BISECTION_STEPS):
-        mid = 0.5 * (lo + hi)
-        f_mid = float(green_branch_value(p, t, min(mid, 1.0 - _SIGN_PROBE_GAP), left))
-        if f_mid == 0.0:
-            return mid
-        if (f_lo < 0.0) == (f_mid < 0.0):
-            lo, f_lo = mid, f_mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
-
-
-def _abs_kernel_mass(p: ProblemParams, t: float, s_nodes: np.ndarray) -> float:
-    """integral_0^1 |G(t, s)| ds, exact between sign changes.
-
-    Sign changes of the kernel in s are bracketed on the node grid, refined
-    by bisection, and the branch antiderivative is summed piecewise so the
-    absolute value costs no quadrature accuracy.
+    G(t, s) >= 0 for s <= s* and G(t, s) <= 0 for s >= s* (see the module
+    docstring for the proof), with s* = 0 when G(t, .) is nowhere
+    positive.  On the right branch the root is closed form; on the left it
+    is found by one bisection run on all t at once.
     """
-    total = 0.0
-    for lo, hi, left in ((0.0, t, True), (t, 1.0, False)):
-        if hi <= lo:
-            continue
-        pts = np.unique(np.clip(s_nodes, lo, hi))
-        probe = np.minimum(pts, 1.0 - _SIGN_PROBE_GAP)
-        vals = np.asarray(green_branch_value(p, t, probe, left))
-        cuts = [lo]
-        for k in range(len(pts) - 1):
-            if vals[k] == 0.0 and lo < pts[k] < hi:
-                cuts.append(float(pts[k]))
-            elif vals[k] * vals[k + 1] < 0.0:
-                cuts.append(_bisect_root(p, t, float(pts[k]), float(pts[k + 1]), left))
-        cuts.append(hi)
-        for a_pt, b_pt in zip(cuts[:-1], cuts[1:]):
-            if b_pt > a_pt:
-                total += abs(_branch_piece(p, t, a_pt, b_pt, left))
-    return total
+    a, b = p.alpha, p.beta
+    t = np.asarray(t, dtype=float)
+    ga, ratio, sing = gamma(a), _ratio_coeff(p), _singular_coeff(p, t)
+
+    def g(s):  # G(t, s) / (1-s)^(alpha-beta-1); strictly decreasing in s
+        rem = 1.0 - s
+        return rem**b * ((np.maximum(t - s, 0.0) / rem) ** (a - 1.0) / ga + ratio) - sing
+
+    # r = 0 (only at t = 1) gives 0/0 in g, read as "not positive", which
+    # is the limit -B(1) < 0; an overflowing closed form is never selected.
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        lo, hi = np.zeros_like(t), t
+        # after 60 halvings of [0, t] the bracket is below 1e-18, and M(t)
+        # depends on s* only to second order (dM/ds* = 2 G(t, s*) = 0)
+        for _ in range(60):
+            mid = 0.5 * (lo + hi)
+            pos = g(mid) > 0.0
+            lo, hi = np.where(pos, mid, lo), np.where(pos, hi, mid)
+        on_right = (1.0 - t) ** b * ratio - sing >= 0.0  # g(t) >= 0
+        closed = 1.0 - (sing / ratio) ** (1.0 / b)
+        return np.where(g(0.0) <= 0.0, 0.0, np.where(on_right, closed, 0.5 * (lo + hi)))
+
+
+def green_abs_mass(p: ProblemParams, t) -> np.ndarray:
+    """M(t) = integral_0^1 |G(t, s)| ds for an array of t, in closed form.
+
+    With s* from :func:`green_sign_change` and the kernel's antiderivative
+    P(t, x) = integral_0^x G(t, s) ds, M(t) = 2 P(t, s*) - P(t, 1).  The
+    terms (1 - r^mu)/mu of P are formed as -expm1(mu log r)/mu, so they keep
+    full precision as alpha - beta -> 0.
+    """
+    a, mu = p.alpha, p.alpha - p.beta
+    t = np.asarray(t, dtype=float)
+    ga, ratio, sing = gamma(a), _ratio_coeff(p), _singular_coeff(p, t)
+
+    def primitive(x):
+        log_rem = np.log1p(-x)  # -inf at x = 1, where expm1 gives -1
+        return (
+            (t**a - np.maximum(t - x, 0.0) ** a) / (a * ga)
+            - ratio * np.expm1(a * log_rem) / a
+            + sing * np.expm1(mu * log_rem) / mu
+        )
+
+    with np.errstate(divide="ignore"):
+        return 2.0 * primitive(green_sign_change(p, t)) - primitive(1.0)
 
 
 def gstar(p: ProblemParams, n: int = 2049, m: int = 513) -> float:
     """sup over t of integral_0^1 |G(t, s)| ds, scanned on m uniform t nodes.
 
-    For each scan node the integral is computed exactly between kernel sign
-    changes (see :func:`_abs_kernel_mass`), so n controls only how finely
-    roots are bracketed before bisection.  The result is the maximum over
-    the scan nodes, a lower bound on the supremum.
+    Each scan value is the closed-form mass of :func:`green_abs_mass`,
+    exact up to roundoff because G(t, .) changes sign at most once, from +
+    to -.  Proof: with r = 1 - s, g(s) = G(t, s) / r^(alpha-beta-1) equals
+
+        r^beta [((t-s)_+ / r)^(alpha-1) / Gamma(alpha) + A] - B(t)
+
+    on both branches, A = xi/(Gamma(alpha)(1-xi)) > 0.  r^beta strictly
+    decreases, (t-s)/(1-s) has derivative (t-1)/(1-s)^2 <= 0, and the
+    bracket is at least A > 0, so g strictly decreases on [0, 1).
+
+    The result is the maximum over the scan nodes, a lower bound on the
+    supremum.  ``n`` no longer affects the value; it is kept, and still
+    checked, for the signature's sake.
     """
     if n < 2 or m < 2:
         raise DomainError(f"need n >= 2 and m >= 2, got n={n}, m={m}")
-    s_nodes = np.linspace(0.0, 1.0, n)
-    t_scan = np.linspace(0.0, 1.0, m)
-    return float(max(_abs_kernel_mass(p, float(t), s_nodes) for t in t_scan))
+    return float(np.max(green_abs_mass(p, np.linspace(0.0, 1.0, m))))

@@ -10,9 +10,10 @@ import math
 import numpy as np
 import pytest
 
-from fracbvp import ProblemParams, ProblemSpec, parse, picard_solve
+from fracbvp import ProblemParams, ProblemSpec, gamma, parse, picard_solve
 from fracbvp.errors import EvaluationError
 from fracbvp.expr import BinOp, Call, Neg, Num, Var
+from fracbvp.greens import green_branch_value
 
 EXAMPLE_RHS = "sin(t)^2/(11*(exp(2*t)+3*exp(t)+1))*(3+t+5*u+v)"
 EXAMPLE_K = 1.0 / 11.0
@@ -112,3 +113,81 @@ def oracle_evaluate(e, t, u, v):
             return math.sqrt(x)
         return abs(x)
     raise TypeError(f"not an expression node: {e!r}")
+
+
+# Reference G* scan: per t, the kernel's sign changes are bracketed on an
+# n-node s grid, refined by scalar bisection, and the fixed-branch
+# antiderivative is summed piece by piece.  It assumes nothing about how
+# many sign changes there are.
+_ORACLE_BISECTION_STEPS = 60
+# Probe abscissa used instead of s = 1, where the kernel may be unbounded:
+# the largest float below 1, so a sign change as close to 1 as a float can
+# resolve is still bracketed (as alpha - beta -> 0 it sits at 1 - s of
+# about alpha - beta).
+_ORACLE_PROBE_GAP = 2.0**-53
+
+
+def _oracle_coeffs(p, t):
+    a, b, xi = p.alpha, p.beta, p.xi
+    ratio = xi / (gamma(a) * (1.0 - xi))
+    sing = gamma(2.0 - b) * (xi + (1.0 - xi) * t) / (gamma(a - b) * (1.0 - xi))
+    return ratio, sing
+
+
+def _oracle_branch_piece(p, t, a_pt, b_pt, left):
+    """Exact integral of the fixed-branch kernel over [a_pt, b_pt]."""
+    a, b = p.alpha, p.beta
+    ratio, sing = _oracle_coeffs(p, t)
+    rema, remb = 1.0 - a_pt, 1.0 - b_pt
+    val = ratio * (rema**a - remb**a) / a
+    val -= sing * (rema ** (a - b) - remb ** (a - b)) / (a - b)
+    if left:
+        val += ((t - a_pt) ** a - max(t - b_pt, 0.0) ** a) / (a * gamma(a))
+    return val
+
+
+def _oracle_probe(p, t, s, left):
+    return float(green_branch_value(p, t, min(s, 1.0 - _ORACLE_PROBE_GAP), left))
+
+
+def _oracle_bisect_root(p, t, lo, hi, left):
+    f_lo = _oracle_probe(p, t, lo, left)
+    for _ in range(_ORACLE_BISECTION_STEPS):
+        mid = 0.5 * (lo + hi)
+        f_mid = _oracle_probe(p, t, mid, left)
+        if f_mid == 0.0:
+            return mid
+        if (f_lo < 0.0) == (f_mid < 0.0):
+            lo, f_lo = mid, f_mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
+def oracle_abs_mass(p, t, s_nodes):
+    """integral_0^1 |G(t, s)| ds, exact between bracketed sign changes."""
+    total = 0.0
+    for lo, hi, left in ((0.0, t, True), (t, 1.0, False)):
+        if hi <= lo:
+            continue
+        pts = np.unique(np.clip(s_nodes, lo, hi))
+        probe = np.minimum(pts, 1.0 - _ORACLE_PROBE_GAP)
+        vals = np.asarray(green_branch_value(p, t, probe, left))
+        cuts = [lo]
+        for k in range(len(pts) - 1):
+            if vals[k] == 0.0 and lo < pts[k] < hi:
+                cuts.append(float(pts[k]))
+            elif vals[k] * vals[k + 1] < 0.0:
+                cuts.append(_oracle_bisect_root(p, t, float(pts[k]), float(pts[k + 1]), left))
+        cuts.append(hi)
+        for a_pt, b_pt in zip(cuts[:-1], cuts[1:]):
+            if b_pt > a_pt:
+                total += abs(_oracle_branch_piece(p, t, a_pt, b_pt, left))
+    return total
+
+
+def oracle_gstar(p, n, m):
+    """Reference scalar G* scan: the max of :func:`oracle_abs_mass` over m
+    uniform t nodes, with sign changes bracketed on n uniform s nodes."""
+    s_nodes = np.linspace(0.0, 1.0, n)
+    return max(oracle_abs_mass(p, float(t), s_nodes) for t in np.linspace(0.0, 1.0, m))

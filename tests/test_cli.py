@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from fracbvp import ConfigError
+from fracbvp import ConfigError, cli
 from fracbvp.cli import main, parse_config
 
 EXAMPLE_LINES = """\
@@ -169,6 +169,26 @@ def test_grid_and_tol_overrides(tmp_path, capsys):
         capsys.readouterr()
         assert main(["solve", "--config", cfg, "--out", str(out)] + flags) == 2
         assert message in capsys.readouterr().err
+
+
+def test_main_calls_share_no_arguments(tmp_path, capsys, monkeypatch):
+    # the argument parser is built once per process; each call's flags are its own
+    assert cli._build_arg_parser() is cli._build_arg_parser()
+    cfg = write_config(tmp_path)
+    out = tmp_path / "run"
+    assert main(["solve", "--config", cfg, "--out", str(out), "--grid", "129"]) == 0
+    assert len((out / "solution.csv").read_text().splitlines()) == 1 + 129
+    seen = []
+    monkeypatch.setattr(cli, "cmd_certify", lambda config, out_dir: seen.append((config, out_dir)) or 0)
+    assert main(["certify", "--config", cfg]) == 0
+    (config, out_dir), = seen
+    assert config.grid_n == 513 and config.tol == 1e-10
+    assert out_dir is None
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as exc:
+        main(["solve", "--config", cfg, "--bogus"])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.startswith("usage: fracbvp")
 
 
 def test_certify_report(tmp_path, capsys):

@@ -22,9 +22,9 @@ from fracbvp import (
     gstar_coarse_bound,
 )
 from fracbvp.fracops import right_kernel_moments
-from fracbvp.greens import green_branch_value
+from fracbvp.greens import green_branch_value, green_sign_change
 
-from conftest import left_moments_row
+from conftest import left_moments_row, oracle_gstar
 
 # frozen from a sign-change-exact evaluation at n = 2049, m = 513, cross
 # checked against a 400000-point midpoint rule (agreement 5.4e-10)
@@ -172,13 +172,17 @@ def _box_params(draw):
     beta = draw(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True))
     xi = draw(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True))
     gap = draw(st.floats(1e-12, 1e-3))
-    edge = draw(st.sampled_from(("box", "alpha->1", "alpha=2", "alpha-beta->0", "xi->1")))
+    edge = draw(
+        st.sampled_from(("box", "alpha->1", "alpha=2", "alpha-beta->0", "beta->0", "xi->1"))
+    )
     if edge == "alpha->1":
         alpha = 1.0 + gap
     elif edge == "alpha=2":
         alpha = 2.0
     elif edge == "alpha-beta->0":
         alpha, beta = 1.0 + gap / 2, 1.0 - gap / 2
+    elif edge == "beta->0":
+        beta = gap
     elif edge == "xi->1":
         xi = 1.0 - gap
     return ProblemParams(alpha, beta, xi)
@@ -244,6 +248,49 @@ def test_gstar_matches_midpoint_scan():
         got = gstar(p, n=2049, m=17)
         ref = brute(p, 17, 100_000)
         assert abs(got - ref) <= 1e-6
+
+
+@settings(max_examples=100, deadline=None)
+@given(p=_box_params(), m=st.integers(2, 257))
+def test_gstar_matches_oracle(p, m):
+    # The error is measured against the mass of G's terms taken one by one,
+    # which is the coarse bound: the terms are ~1/(1-xi) and, as beta -> 0,
+    # cancel to O(1) in the interior and to O(beta) at t = 0 and t = 1
+    # (G(0, .) = xi G(1, .)), so any two summation orders differ by eps
+    # times the terms, not times the result.  The oracle brackets on 129 s
+    # nodes, enough to find a single sign change.
+    ref = oracle_gstar(p, 129, m)
+    assert abs(gstar(p, n=2049, m=m) - ref) <= 1e-13 * gstar_coarse_bound(p)
+
+
+@settings(max_examples=60, deadline=None)
+@given(p=_box_params(), t=st.floats(0.0, 1.0), m=st.integers(2, 257))
+def test_kernel_changes_sign_once(p, t, m):
+    # dense s samples plus a tail 1 - 2^-k toward the singular end
+    tail = 1.0 - 2.0 ** -np.arange(1, 53)
+    s = np.unique(np.concatenate((np.linspace(0.0, 1.0, 4097)[:-1], tail)))
+    a, b, xi = p.alpha, p.beta, p.xi
+    rem = 1.0 - s
+    ts = np.append(np.linspace(0.0, 1.0, 9), t)
+    for tt, root in zip(ts, green_sign_change(p, ts)):
+        vals = np.where(
+            s <= tt,
+            green_branch_value(p, tt, s, left=True),
+            green_branch_value(p, tt, s, left=False),
+        )
+        # sizes of the three kernel terms; a sample within roundoff of 0 has no sign
+        sing = gamma(2.0 - b) * (xi + (1.0 - xi) * tt) / (gamma(a - b) * (1.0 - xi))
+        scale = (
+            np.maximum(tt - s, 0.0) ** (a - 1.0) / gamma(a)
+            + xi / (gamma(a) * (1.0 - xi)) * rem ** (a - 1.0)
+            + sing * rem ** (a - b - 1.0)
+        )
+        pos, neg = s[vals > 1e-12 * scale], s[vals < -1e-12 * scale]
+        if len(pos) and len(neg):
+            assert pos.max() < neg.min()  # never from - back to +
+        assert 0.0 <= root <= 1.0
+        assert np.all(pos <= root) and np.all(neg >= root)
+    assert gstar(p, n=2, m=m) == gstar(p, n=4097, m=m)
 
 
 def test_gstar_domain_checks(example_params):
