@@ -13,7 +13,10 @@ weakly singular factor is integrated exactly against the piecewise-linear
 interpolant of the data, so both grid operators are exact (to roundoff)
 whenever the input is piecewise linear on the grid.  On a uniform grid both
 are convolutions, held as the first column of a lower-triangular Toeplitz
-matrix and applied by FFT (:func:`lower_toeplitz_apply`).
+matrix and applied by FFT (:func:`lower_toeplitz_apply`).  The transforms
+have the shortest power-of-two length >= 2n - 2 that keeps the product
+exact, and a column applied many times has its spectrum computed once
+(:func:`toeplitz_spectrum`).
 """
 
 from __future__ import annotations
@@ -174,18 +177,35 @@ def left_kernel_toeplitz(alpha: float, grid: Grid) -> tuple[np.ndarray, np.ndarr
     return column * scale, first * scale
 
 
-def lower_toeplitz_apply(column: np.ndarray, x: np.ndarray) -> np.ndarray:
+def _fft_size(n: int) -> int:
+    """Smallest power of two >= 2n - 2 (and >= 1)."""
+    return 1 << max(2 * n - 3, 0).bit_length()
+
+
+def toeplitz_spectrum(column: np.ndarray) -> np.ndarray:
+    """Real FFT of a Toeplitz column at the length :func:`lower_toeplitz_apply`
+    uses for inputs of the same length; pass it there to reuse it."""
+    return np.fft.rfft(column, _fft_size(len(column)))
+
+
+def lower_toeplitz_apply(
+    column: np.ndarray, x: np.ndarray, spectrum: np.ndarray | None = None
+) -> np.ndarray:
     """Product T x with the lower-triangular Toeplitz T[i, j] = column[i - j].
 
-    Both inputs are zero-padded to a power of two >= 2n - 1, so the circular
-    FFT convolution has no wrap-around in its first n entries: O(n log n)
-    time and O(n) memory.  Entry 0 has a single term and is set exactly, so
-    rows that vanish at t = 0 stay exactly zero.
+    Both inputs are zero-padded to a power of two N >= 2n - 2 and multiplied
+    as a circular FFT convolution: O(n log n) time and O(n) memory.  The
+    linear convolution has indices 0 .. 2n - 2, so at most index 2n - 2,
+    the single term column[n-1] * x[n-1], wraps around, and it lands on
+    entry 0.  Entry 0 has a single term of its own and is set exactly, which
+    makes the first n entries exact and keeps rows that vanish at t = 0
+    exactly zero.  ``spectrum``, if given, is ``toeplitz_spectrum(column)``.
     """
     n = len(x)
-    size = 1 << (2 * n - 2).bit_length()
-    spectrum = np.fft.rfft(column, size) * np.fft.rfft(x, size)
-    out = np.fft.irfft(spectrum, size)[:n]
+    size = _fft_size(n)
+    if spectrum is None:
+        spectrum = toeplitz_spectrum(column)
+    out = np.fft.irfft(spectrum * np.fft.rfft(x, size), size)[:n]
     out[0] = column[0] * x[0]
     return out
 

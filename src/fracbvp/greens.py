@@ -58,6 +58,7 @@ from .fracops import (
     left_kernel_toeplitz,
     lower_toeplitz_apply,
     right_kernel_moments,
+    toeplitz_spectrum,
 )
 
 @dataclass(frozen=True)
@@ -88,14 +89,18 @@ class KernelOperator:
 
     where T[i, j] = column[i - j] for j <= i is lower-triangular Toeplitz,
     ``first`` replaces T's column 0, and ``factors`` holds the (left, right)
-    pairs of a low-rank update.  ``W @ x`` costs one FFT convolution plus a
-    dot product per factor; :meth:`dense` expands W for small-n reference
+    pairs of a low-rank update.  The spectrum of ``column`` is computed once,
+    at construction, so ``W @ x`` costs one forward and one inverse FFT plus
+    a dot product per factor; :meth:`dense` expands W for small-n reference
     checks.
     """
 
     column: np.ndarray
     first: np.ndarray
     factors: tuple[tuple[np.ndarray, np.ndarray], ...]
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "_spectrum", toeplitz_spectrum(self.column))
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -104,7 +109,7 @@ class KernelOperator:
 
     def __matmul__(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=float)
-        out = lower_toeplitz_apply(self.column, x)
+        out = lower_toeplitz_apply(self.column, x, self._spectrum)  # type: ignore[attr-defined]
         out += (self.first - self.column) * x[0]
         for left, right in self.factors:
             out += left * (right @ x)

@@ -191,3 +191,12 @@ def oracle_gstar(p, n, m):
     uniform t nodes, with sign changes bracketed on n uniform s nodes."""
     s_nodes = np.linspace(0.0, 1.0, n)
     return max(oracle_abs_mass(p, float(t), s_nodes) for t in np.linspace(0.0, 1.0, m))
+
+
+def oracle_solution_csv(grid_nodes, u, v):
+    """Reference ``solution.csv`` writer: each value formatted on its own as
+    the shortest decimal capped at 15 significant digits."""
+    lines = ["t,u,v"]
+    for t, uu, vv in zip(grid_nodes, u, v):
+        lines.append(",".join(format(float(x), ".15g") for x in (t, uu, vv)))
+    return "\n".join(lines) + "\n"

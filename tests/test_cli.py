@@ -4,10 +4,13 @@ import json
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from fracbvp import ConfigError, cli
 from fracbvp.cli import main, parse_config
+
+from conftest import oracle_solution_csv
 
 EXAMPLE_LINES = """\
 # worked example configuration
@@ -163,12 +166,48 @@ def test_grid_and_tol_overrides(tmp_path, capsys):
     csv_lines = (out / "solution.csv").read_text().splitlines()
     assert len(csv_lines) == 1 + 129
     for flags, message in (
-        (["--grid", "32"], "--grid must be >= 33, got 32"),
+        (["--grid", "32"], "--grid must be >= 129, got 32"),
         (["--tol", "0.5"], "--tol must lie in (0, 1e-2], got 0.5"),
     ):
         capsys.readouterr()
         assert main(["solve", "--config", cfg, "--out", str(out)] + flags) == 2
         assert message in capsys.readouterr().err
+
+
+def test_grid_below_residual_minimum_fails_before_solving(tmp_path, capsys, monkeypatch):
+    # the residual check needs n >= 129, so a smaller grid is a config error
+    # raised before any Picard step runs
+    def no_solve(*args, **kwargs):
+        raise AssertionError("picard_solve must not run")
+
+    monkeypatch.setattr(cli, "picard_solve", no_solve)
+    out = tmp_path / "run"
+    small = write_config(tmp_path, EXAMPLE_LINES.replace("grid_n = 513", "grid_n = 65"), "small.cfg")
+    cfg = write_config(tmp_path)
+    for argv, message in (
+        (["solve", "--config", small, "--out", str(out)], "grid_n must be >= 129, got 65"),
+        (["solve", "--config", cfg, "--out", str(out), "--grid", "65"], "--grid must be >= 129, got 65"),
+    ):
+        capsys.readouterr()
+        assert main(argv) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+
+@pytest.mark.parametrize("n", [33, 513, 8193])
+def test_solution_csv_matches_per_value_writer(n):
+    edge = [5e-324, -5e-324, 1e300, -1e300, 1e-300, -1e-300, 1e-320, 0.0, -0.0]
+    rng = np.random.default_rng(n)
+    pool = np.concatenate((edge, rng.normal(size=7) * 10.0 ** rng.integers(-20, 20, size=7)))
+    u, v = (rng.permutation(np.resize(pool, n)) for _ in range(2))
+    nodes = np.linspace(0.0, 1.0, n)
+    assert cli._solution_csv(nodes, u, v) == oracle_solution_csv(nodes, u, v)
+
+
+def test_solution_csv_matches_per_value_writer_on_solver_output(example_solution):
+    pair, _ = example_solution
+    args = (pair.grid.nodes, pair.u.values, pair.v.values)
+    assert cli._solution_csv(*args) == oracle_solution_csv(*args)
 
 
 def test_main_calls_share_no_arguments(tmp_path, capsys, monkeypatch):

@@ -16,8 +16,14 @@ from fracbvp import (
     companion_operator,
     frac_integral_monomial,
     gamma,
+    green_operator,
 )
-from fracbvp.fracops import left_kernel_toeplitz, lower_toeplitz_apply, right_kernel_moments
+from fracbvp.fracops import (
+    left_kernel_toeplitz,
+    lower_toeplitz_apply,
+    right_kernel_moments,
+    toeplitz_spectrum,
+)
 
 from conftest import left_moments_row
 
@@ -196,11 +202,29 @@ def test_indicator_moments_trapezoid():
 
 
 def test_lower_toeplitz_apply_matches_convolution():
+    # 2n - 2 lands on, above and below a power of two across these sizes
     rng = np.random.default_rng(5)
-    for n in (1, 2, 3, 64, 1000):
+    for n in (1, 2, 3, 4, 5, 6, 64, 513, 514, 1000, 8193):
         c, x = rng.uniform(-1, 1, size=n), rng.uniform(-1, 1, size=n)
         want = np.convolve(c, x)[:n]
-        assert np.max(np.abs(lower_toeplitz_apply(c, x) - want)) <= 1e-13 * n
+        got = lower_toeplitz_apply(c, x)
+        assert np.max(np.abs(got - want)) <= 1e-13 * n
+        assert np.array_equal(lower_toeplitz_apply(c, x, toeplitz_spectrum(c)), got)
+
+
+def test_kernel_operator_apply_is_one_fft_pair(example_params, monkeypatch):
+    op = green_operator(example_params, Grid(8193))
+    calls = []
+    for name in ("rfft", "irfft"):
+        real = getattr(np.fft, name)
+
+        def counted(a, n=None, *args, _name=name, _real=real, **kwargs):
+            calls.append((_name, n))
+            return _real(a, n, *args, **kwargs)
+
+        monkeypatch.setattr(np.fft, name, counted)
+    op @ np.ones(8193)
+    assert sorted(calls) == [("irfft", 16384), ("rfft", 16384)]
 
 
 def test_caputo_grid_kills_constants():
