@@ -42,6 +42,23 @@ decreases, d/ds (t-s)/(1-s) = (t-1)/(1-s)^2 <= 0, and the bracket is at
 least A > 0.  So integral_0^1 |G(t, s)| ds has a closed form in the one
 sign change s*(t), which is how :func:`gstar` scans all t in one array
 pass.
+
+On the left branch, g(0) > 0 > g(t) with t < 1, the root is found in the
+variable x = (t-s)/(1-s), which runs from t at s = 0 down to 0 at s = t,
+and then z = -(alpha-1) ln x >= 0, so that x^(alpha-1) = e^(-z) and
+1 - s = (1-t)/(1-x).  Multiplying g by (1-x)^beta > 0 gives
+
+    F(z) = (1-t)^beta (e^(-z)/Gamma(alpha) + A) - B(t) w(z)^beta,
+    w(z) = 1 - x = -expm1(-z/(alpha-1)),
+
+with the sign of g.  F is convex and strictly decreasing: e^(-z) is
+convex and decreasing, and w is positive, concave and increasing, so w^beta
+is concave and increasing for 0 < beta < 1.  The (t-s)^(alpha-1) cusp of g
+at s = t, which slows Newton's method in s, is gone in z.  For a convex,
+decreasing F, a Newton step from a point with F(z) >= 0 lands on the zero
+of the tangent, which lies below F, hence at or below the root: the
+iterates increase monotonically to the root and never overshoot (Kelley,
+Solving Nonlinear Equations with Newton's Method, SIAM 2003, ch. 1).
 """
 
 from __future__ import annotations
@@ -216,15 +233,19 @@ def green_operator(p: ProblemParams, grid: Grid) -> KernelOperator:
     weights to samples of y reproduces integral_0^1 G(t_i, s) y(s) ds exactly
     whenever y is piecewise linear on the grid.  Weights are finite even when
     the kernel itself is unbounded at s = 1.  The left term gives the Toeplitz
-    part; the two (1-s) terms give a rank-2 update.
+    part; the two (1-s) terms give a rank-2 update.  The (1-s)^(alpha-1)
+    moments are the t = 1 row of the left moments, so they are read off the
+    Toeplitz data as :func:`right_kernel_moments` would.
     """
     a, b = p.alpha, p.beta
     column, first = left_kernel_toeplitz(a, grid)
+    right_a = column[::-1].copy()
+    right_a[0] = first[-1]
     return KernelOperator(
         column / gamma(a),
         first / gamma(a),
         (
-            (np.ones(grid.n), _ratio_coeff(p) * right_kernel_moments(a, grid)),
+            (np.ones(grid.n), _ratio_coeff(p) * right_a),
             (-_singular_coeff(p, grid.nodes), right_kernel_moments(a - b, grid)),
         ),
     )
@@ -275,30 +296,70 @@ def green_sign_change(p: ProblemParams, t) -> np.ndarray:
 
     G(t, s) >= 0 for s <= s* and G(t, s) <= 0 for s >= s* (see the module
     docstring for the proof), with s* = 0 when G(t, .) is nowhere
-    positive.  On the right branch the root is closed form; on the left it
-    is found by one bisection run on all t at once.
+    positive.  On the right branch (g(t) >= 0) s* = 1 - (B(t)/A)^(1/beta),
+    and at t = 1, where the left branch is g = r^beta (1/Gamma(alpha) + A)
+    - B(1), s* = 1 - (B(1)/(1/Gamma(alpha) + A))^(1/beta).  Elsewhere on the
+    left, g(0) > 0 > g(t), s* solves F(z) = 0 for the convex, strictly
+    decreasing F of the module docstring, by Newton's method run on all
+    such t at once.  Newton's step from a point where F > 0 lands on the
+    zero of the tangent, which lies below F, so the iterates increase and
+    stay at or below the root: no bracket is needed, and the loop stops
+    when no iterate increases any more.
     """
-    a, b = p.alpha, p.beta
     t = np.asarray(t, dtype=float)
-    ga, ratio, sing = gamma(a), _ratio_coeff(p), _singular_coeff(p, t)
+    return _sign_change(p, t, gamma(p.alpha), _ratio_coeff(p), _singular_coeff(p, t))
 
-    def g(s):  # G(t, s) / (1-s)^(alpha-beta-1); strictly decreasing in s
-        rem = 1.0 - s
-        return rem**b * ((np.maximum(t - s, 0.0) / rem) ** (a - 1.0) / ga + ratio) - sing
 
-    # r = 0 (only at t = 1) gives 0/0 in g, read as "not positive", which
-    # is the limit -B(1) < 0; an overflowing closed form is never selected.
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        lo, hi = np.zeros_like(t), t
-        # after 60 halvings of [0, t] the bracket is below 1e-18, and M(t)
-        # depends on s* only to second order (dM/ds* = 2 G(t, s*) = 0)
-        for _ in range(60):
-            mid = 0.5 * (lo + hi)
-            pos = g(mid) > 0.0
-            lo, hi = np.where(pos, mid, lo), np.where(pos, hi, mid)
-        on_right = (1.0 - t) ** b * ratio - sing >= 0.0  # g(t) >= 0
-        closed = 1.0 - (sing / ratio) ** (1.0 / b)
-        return np.where(g(0.0) <= 0.0, 0.0, np.where(on_right, closed, 0.5 * (lo + hi)))
+# Guard on the Newton passes of _sign_change; the loop ends when no iterate
+# moves, after 7-10 passes typically and under 20 at the parameter edges.
+_NEWTON_MAX_PASSES = 64
+
+
+def _convex_residual(z, scale, ga, ratio, sing, b, q):
+    """F(z) of the module docstring and dF/dz, with scale = (1-t)^beta.
+
+    x = e^(-q z) is (t-s)/(1-s) and w = -expm1(-q z) is 1 - x, kept
+    without cancellation for x near 1.
+    """
+    log_x = -q * z
+    e, x, w = np.exp(-z), np.exp(log_x), -np.expm1(log_x)
+    wb = w**b
+    f = scale * (e / ga + ratio) - sing * wb
+    df = -scale * e / ga - sing * b * q * x * wb / w
+    return f, df
+
+
+def _sign_change(p: ProblemParams, t: np.ndarray, ga: float, ratio: float, sing) -> np.ndarray:
+    """:func:`green_sign_change` given Gamma(alpha), A and B(t)."""
+    a, b = p.alpha, p.beta
+    t1 = np.atleast_1d(t)
+    sing = np.broadcast_to(sing, t1.shape)
+    # an overflowing closed form is never selected
+    with np.errstate(over="ignore"):
+        g0 = t1 ** (a - 1.0) / ga + ratio - sing  # g(0)
+        on_right = (1.0 - t1) ** b * ratio - sing >= 0.0  # g(t) >= 0
+        out = np.where(on_right, 1.0 - (sing / ratio) ** (1.0 / b), 0.0)
+    left = (g0 > 0.0) & ~on_right
+    at_one = left & (t1 == 1.0)
+    out[at_one] = 1.0 - (sing[at_one] / (1.0 / ga + ratio)) ** (1.0 / b)
+    out[g0 <= 0.0] = 0.0
+    idx = np.flatnonzero(left & (t1 < 1.0))
+    if len(idx):
+        tl, bl = t1[idx], sing[idx]
+        scale, q = (1.0 - tl) ** b, 1.0 / (a - 1.0)
+        # Start at s = 0 or, if larger, at the z where scale (e^-z/Gamma(alpha)
+        # + A) = B(t) >= B(t) w^beta; F >= 0 at both, so both lie below the root.
+        z = np.maximum(-(a - 1.0) * np.log(tl), -np.log(ga * (bl - scale * ratio) / scale))
+        for _ in range(_NEWTON_MAX_PASSES):
+            f, df = _convex_residual(z, scale, ga, ratio, bl, b, q)
+            step = z - f / df
+            grow = step > z
+            if not grow.any():
+                break
+            z = np.where(grow, step, z)
+        # s* = 1 - (1-t)/(1-x); forming it as (t - x)/(1 - x) cancels near t = 1
+        out[idx] = np.clip(1.0 - (1.0 - tl) / -np.expm1(-q * z), 0.0, tl)
+    return out.reshape(t.shape)
 
 
 def green_abs_mass(p: ProblemParams, t) -> np.ndarray:
@@ -322,7 +383,7 @@ def green_abs_mass(p: ProblemParams, t) -> np.ndarray:
         )
 
     with np.errstate(divide="ignore"):
-        return 2.0 * primitive(green_sign_change(p, t)) - primitive(1.0)
+        return 2.0 * primitive(_sign_change(p, t, ga, ratio, sing)) - primitive(1.0)
 
 
 def gstar(p: ProblemParams, n: int = 2049, m: int = 513) -> float:
@@ -337,6 +398,14 @@ def gstar(p: ProblemParams, n: int = 2049, m: int = 513) -> float:
     on both branches, A = xi/(Gamma(alpha)(1-xi)) > 0.  r^beta strictly
     decreases, (t-s)/(1-s) has derivative (t-1)/(1-s)^2 <= 0, and the
     bracket is at least A > 0, so g strictly decreases on [0, 1).
+
+    s* is closed form on the right branch and at t = 1; elsewhere on the
+    left it is the root of F(z) = (1-t)^beta (e^(-z)/Gamma(alpha) + A)
+    - B(t) w^beta, w = -expm1(-z/(alpha-1)), z = -(alpha-1) ln((t-s)/(1-s)).
+    F is convex (e^(-z) is convex, w^beta concave) and strictly decreasing,
+    so Newton's method from a z with F >= 0 increases monotonically to the
+    root: all left-branch scan nodes are solved together, typically in 7-10
+    array passes.
 
     The result is the maximum over the scan nodes, a lower bound on the
     supremum.  ``n`` no longer affects the value; it is kept, and still

@@ -193,6 +193,35 @@ def oracle_gstar(p, n, m):
     return max(oracle_abs_mass(p, float(t), s_nodes) for t in np.linspace(0.0, 1.0, m))
 
 
+def oracle_sign_change(p, t):
+    """Reference sign change s*(t) of G(t, .) for an array of t: 60 halvings
+    of [0, t] on the left branch, run on all t at once, and the closed form
+    1 - (B(t)/A)^(1/beta) on the right branch (g(t) >= 0).
+
+    g(s) = G(t, s) / (1-s)^(alpha-beta-1) strictly decreases on [0, 1); after
+    60 halvings the bracket is below 1e-18.  At t = 1, r = 1 - s = 0 gives
+    0/0 in g, read as "not positive", which is the limit -B(1) < 0.
+    """
+    a, b = p.alpha, p.beta
+    t = np.asarray(t, dtype=float)
+    ga = gamma(a)
+    ratio, sing = _oracle_coeffs(p, t)
+
+    def g(s):
+        rem = 1.0 - s
+        return rem**b * ((np.maximum(t - s, 0.0) / rem) ** (a - 1.0) / ga + ratio) - sing
+
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        lo, hi = np.zeros_like(t), t
+        for _ in range(_ORACLE_BISECTION_STEPS):
+            mid = 0.5 * (lo + hi)
+            pos = g(mid) > 0.0
+            lo, hi = np.where(pos, mid, lo), np.where(pos, hi, mid)
+        on_right = (1.0 - t) ** b * ratio - sing >= 0.0
+        closed = 1.0 - (sing / ratio) ** (1.0 / b)
+        return np.where(g(0.0) <= 0.0, 0.0, np.where(on_right, closed, 0.5 * (lo + hi)))
+
+
 def oracle_solution_csv(grid_nodes, u, v):
     """Reference ``solution.csv`` writer: each value formatted on its own as
     the shortest decimal capped at 15 significant digits."""

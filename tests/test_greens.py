@@ -1,15 +1,20 @@
 """Two-branch kernel, companion kernel, singular quadrature weights, G*."""
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import fracbvp.fracops
+import fracbvp.greens
 from fracbvp import (
     DomainError,
     Grid,
     KernelOperator,
     ProblemParams,
+    ProblemSpec,
     SingularityError,
     companion_eval,
     companion_operator,
@@ -20,11 +25,13 @@ from fracbvp import (
     green_weight_matrix,
     gstar,
     gstar_coarse_bound,
+    parse,
+    picard_solve,
 )
-from fracbvp.fracops import right_kernel_moments
-from fracbvp.greens import green_branch_value, green_sign_change
+from fracbvp.fracops import left_kernel_toeplitz, right_kernel_moments
+from fracbvp.greens import green_abs_mass, green_branch_value, green_sign_change
 
-from conftest import left_moments_row, oracle_gstar
+from conftest import left_moments_row, oracle_gstar, oracle_sign_change
 
 # frozen from a sign-change-exact evaluation at n = 2049, m = 513, cross
 # checked against a 400000-point midpoint rule (agreement 5.4e-10)
@@ -165,6 +172,45 @@ def test_weight_matrices_match_rows(example_params):
         np.testing.assert_allclose(hm[i], indicator - coeff * right_ab, atol=1e-15)
 
 
+def test_green_operator_reads_right_moments_off_its_toeplitz_data(monkeypatch):
+    # A solve builds left_kernel_toeplitz three times: order alpha for G's
+    # Toeplitz part, which also gives its (1-s)^(alpha-1) moments, and order
+    # alpha - beta once for G and once for H.
+    calls = []
+    real = fracbvp.fracops.left_kernel_toeplitz
+
+    def counting(order, grid):
+        calls.append(order)
+        return real(order, grid)
+
+    monkeypatch.setattr(fracbvp.greens, "left_kernel_toeplitz", counting)
+    monkeypatch.setattr(fracbvp.fracops, "left_kernel_toeplitz", counting)
+    p = ProblemParams(1.5, 0.5, 0.5)
+    picard_solve(ProblemSpec(p, parse("0.1*u + sin(t)")), 129, tol=1e-10)
+    assert calls == [1.5, 1.0, 1.0]
+    monkeypatch.undo()
+    rng = np.random.default_rng(3)
+    for n in (2, 3, 129, 2049):
+        g = Grid(n)
+        for q in [p] + [_random_params(rng) for _ in range(3)]:
+            a, b = q.alpha, q.beta
+            column, first = left_kernel_toeplitz(a, g)
+            ratio = q.xi / (gamma(a) * (1.0 - q.xi))
+            sing = gamma(2.0 - b) * (q.xi + (1.0 - q.xi) * g.nodes) / (gamma(a - b) * (1.0 - q.xi))
+            parent = KernelOperator(
+                column / gamma(a),
+                first / gamma(a),
+                (
+                    (np.ones(n), ratio * right_kernel_moments(a, g)),
+                    (-sing, right_kernel_moments(a - b, g)),
+                ),
+            )
+            got = green_operator(q, g)
+            assert np.array_equal(got.dense(), parent.dense())
+            for (gl, gr), (pl, pr) in zip(got.factors, parent.factors):
+                assert np.array_equal(gl, pl) and np.array_equal(gr, pr)
+
+
 @st.composite
 def _box_params(draw):
     """(alpha, beta, xi) from the whole box, or pinned near one of its edges."""
@@ -291,6 +337,100 @@ def test_kernel_changes_sign_once(p, t, m):
         assert 0.0 <= root <= 1.0
         assert np.all(pos <= root) and np.all(neg >= root)
     assert gstar(p, n=2, m=m) == gstar(p, n=4097, m=m)
+
+
+def _oracle_mass(p, t, monkeypatch):
+    # M(t) from the same closed form, but with the bisection root
+    with monkeypatch.context() as patch:
+        patch.setattr(fracbvp.greens, "_sign_change", lambda q, tt, *coeffs: oracle_sign_change(q, tt))
+        return green_abs_mass(p, t)
+
+
+# scan nodes, a tail 1 - 2^-k toward t = 1 (k = 53 is the largest float below 1)
+_ROOT_TS = np.unique(np.concatenate((np.linspace(0.0, 1.0, 257), 1.0 - 2.0 ** -np.arange(1, 54))))
+
+
+@settings(max_examples=100, deadline=None)
+@given(p=_box_params(), t=st.floats(0.0, 1.0))
+def test_newton_root_mass_matches_bisection(p, t):
+    # M depends on s* only to second order (dM/ds* = 2 G(t, s*) = 0), so the
+    # two roots may differ where G is flat, yet their masses may not differ
+    # by more than roundoff in the terms (see test_gstar_matches_oracle).
+    ts = np.append(_ROOT_TS, t)
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        want = _oracle_mass(p, ts, monkeypatch)
+    got = green_abs_mass(p, ts)
+    assert np.max(np.abs(got - want)) <= 1e-15 * gstar_coarse_bound(p)
+    roots = green_sign_change(p, ts)
+    assert np.all((0.0 <= roots) & (roots <= 1.0))
+    assert roots.shape == ts.shape
+    assert green_sign_change(p, t).shape == ()
+    assert green_sign_change(p, t) == roots[-1]
+
+
+@settings(max_examples=60, deadline=None)
+@given(p=_box_params())
+def test_sign_change_at_t_one_is_closed_form(p):
+    # At t = 1 the left branch is g = r^beta (1/Gamma(alpha) + A) - B(1).
+    a, b, xi = p.alpha, p.beta, p.xi
+    top = 1.0 / gamma(a) + xi / (gamma(a) * (1.0 - xi))
+    sing = gamma(2.0 - b) * (xi + (1.0 - xi)) / (gamma(a - b) * (1.0 - xi))
+    want = 1.0 - (sing / top) ** (1.0 / b) if top > sing else 0.0
+    # numpy's array power may round differently from libm's by an ulp
+    assert abs(green_sign_change(p, np.array([1.0]))[0] - want) <= 1e-15
+    assert abs(green_sign_change(p, 1.0) - want) <= 1e-15
+
+
+def _has_left_branch(p, ts):
+    # g(0) > 0 > g(t) at some 0 < t < 1, where the Newton loop runs
+    a, b, xi = p.alpha, p.beta, p.xi
+    ratio = xi / (gamma(a) * (1.0 - xi))
+    sing = gamma(2.0 - b) * (xi + (1.0 - xi) * ts) / (gamma(a - b) * (1.0 - xi))
+    g0 = ts ** (a - 1.0) / gamma(a) + ratio - sing
+    gt = (1.0 - ts) ** b * ratio - sing
+    return bool(np.any((g0 > 0.0) & (gt < 0.0) & (ts < 1.0)))
+
+
+# the certify_sweep benchmark's edge classes: alpha, beta and xi ranges
+_CERTIFY_EDGE_CLASSES = {
+    "interior": ((1.2, 1.9), (0.1, 0.9), (0.1, 0.8)),
+    "alpha_2": ((2.0, 2.0), (0.1, 0.9), (0.1, 0.8)),
+    "singular": ((1.001, 1.01), (0.99, 0.999), (0.1, 0.8)),
+    "alpha_near_1": ((1.001, 1.02), (0.1, 0.9), (0.1, 0.8)),
+    "xi_high": ((1.2, 1.9), (0.1, 0.9), (0.85, 0.95)),
+}
+
+
+def test_newton_loop_pass_count(monkeypatch, example_params):
+    # One residual evaluation per Newton pass over the scan, where a
+    # bisection takes 60; the loop runs only when some scan node is on the
+    # left branch.  Triples: the example and the corners and midpoints of
+    # each edge-class box.
+    passes = [0]
+    real = fracbvp.greens._convex_residual
+
+    def counting(*args):
+        passes[0] += 1
+        return real(*args)
+
+    monkeypatch.setattr(fracbvp.greens, "_convex_residual", counting)
+    ts = np.linspace(0.0, 1.0, 257)
+    triples = [(example_params.alpha, example_params.beta, example_params.xi)]
+    for box in _CERTIFY_EDGE_CLASSES.values():
+        triples += itertools.product(*[(lo, 0.5 * (lo + hi), hi) for lo, hi in box])
+    with_loop = 0
+    for a, b, xi in triples:
+        p = ProblemParams(a, b, xi)
+        passes[0] = 0
+        value = gstar(p, m=257)
+        has_left = _has_left_branch(p, ts)
+        with_loop += has_left
+        assert (passes[0] > 0) == has_left
+        assert passes[0] <= 25
+        want = np.max(_oracle_mass(p, ts, monkeypatch))
+        assert abs(value - want) <= 1e-15 * gstar_coarse_bound(p)
+    assert _has_left_branch(example_params, ts)
+    assert with_loop >= 100
 
 
 def test_gstar_domain_checks(example_params):
