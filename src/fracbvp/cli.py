@@ -235,8 +235,8 @@ def _write_atomic(path: str, text: str) -> None:
 
 def _solution_csv(grid_nodes: np.ndarray, u: np.ndarray, v: np.ndarray) -> str:
     """One ``t,u,v`` row per node, each value formatted as :func:`_fmt` does."""
-    rows = zip(grid_nodes.tolist(), u.tolist(), v.tolist())
-    return "t,u,v\n" + "".join("%.15g,%.15g,%.15g\n" % row for row in rows)
+    table = np.column_stack((grid_nodes, u, v)).ravel().tolist()
+    return "t,u,v\n" + ("%.15g,%.15g,%.15g\n" * len(grid_nodes)) % tuple(table)
 
 
 def _bool_text(flag: bool) -> str:

@@ -17,7 +17,7 @@ Whitespace is insignificant.  There is no implicit multiplication.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 from typing import Union
 
 import numpy as np
@@ -224,7 +224,25 @@ def parse(source: str) -> Expr:
     return _Parser(source).parse()
 
 
-_UNARY = {"sin": np.sin, "cos": np.cos, "ln": np.log, "sqrt": np.sqrt, "abs": np.abs}
+_UNARY = {
+    "sin": np.sin,
+    "cos": np.cos,
+    "exp": np.exp,
+    "ln": np.log,
+    "sqrt": np.sqrt,
+    "abs": np.abs,
+}
+_BINARY = {"+": np.add, "-": np.subtract, "*": np.multiply, "/": np.divide, "^": np.power}
+# For finite inputs and literals, every check of the masked walk implies one
+# of these IEEE 754 exception flags; underflow alone is never a failure.
+_FLAGS = {"divide": "raise", "over": "raise", "invalid": "raise", "under": "ignore"}
+
+
+@dataclass(frozen=True, eq=False)
+class _Folded:
+    """A subtree free of u and v, replaced by its samples at fixed t nodes."""
+
+    values: np.ndarray = field(repr=False)
 
 
 def _check(fails: list, mask: np.ndarray, message: str) -> None:
@@ -232,48 +250,53 @@ def _check(fails: list, mask: np.ndarray, message: str) -> None:
         fails.append((message, mask))
 
 
-def _walk(e: Expr, env: dict[str, np.ndarray], fails: list) -> np.ndarray:
+def _walk(e: Expr, env: dict[str, np.ndarray], fails: list | None) -> np.ndarray:
     # Post-order walk, one numpy operation per node.  Every check that flags
-    # some point is appended to ``fails`` in the order the checks run.
-    if isinstance(e, Num):
-        return np.full(env["t"].shape, e.value)
-    if isinstance(e, Var):
-        return env[e.name].copy()
-    if isinstance(e, Neg):
-        return -_walk(e.operand, env, fails)
+    # some point is appended to ``fails`` in the order the checks run;
+    # ``fails=None`` skips the checks, for a walk under _FLAGS.  The result
+    # may be an array of ``env`` or of a _Folded leaf.
     if isinstance(e, BinOp):
         a = _walk(e.left, env, fails)
         b = _walk(e.right, env, fails)
-        if e.op == "+":
-            out = a + b
-        elif e.op == "-":
-            out = a - b
-        elif e.op == "*":
-            out = a * b
-        elif e.op == "/":
-            _check(fails, b == 0.0, "division by zero")
-            out = a / b
-        else:
-            _check(fails, (a == 0.0) & (b < 0.0), "zero raised to a negative power")
-            _check(
-                fails, (a < 0.0) & (b != np.floor(b)), "fractional power of a negative base"
-            )
-            out = np.power(a, b)
-            overflow = np.isinf(out) & np.isfinite(a) & np.isfinite(b)
-            _check(fails, overflow, "overflow in power")
-        _check(fails, ~np.isfinite(out), f"non-finite result from {e.op!r}")
+        out = _BINARY[e.op](a, b)
+        if fails is not None:
+            if e.op == "/":
+                _check(fails, b == 0.0, "division by zero")
+            elif e.op == "^":
+                _check(fails, (a == 0.0) & (b < 0.0), "zero raised to a negative power")
+                _check(
+                    fails, (a < 0.0) & (b != np.floor(b)), "fractional power of a negative base"
+                )
+                overflow = np.isinf(out) & np.isfinite(a) & np.isfinite(b)
+                _check(fails, overflow, "overflow in power")
+            _check(fails, ~np.isfinite(out), f"non-finite result from {e.op!r}")
         return out
     if isinstance(e, Call):
         x = _walk(e.arg, env, fails)
-        if e.func == "exp":
-            out = np.exp(x)
-            _check(fails, np.isinf(out) & np.isfinite(x), "overflow in exp")
-            return out
-        if e.func == "ln":
-            _check(fails, x <= 0.0, "ln of a non-positive value")
-        elif e.func == "sqrt":
-            _check(fails, x < 0.0, "sqrt of a negative value")
-        return _UNARY[e.func](x)
+        out = _UNARY[e.func](x)
+        if fails is not None:
+            if e.func == "exp":
+                _check(fails, np.isinf(out) & np.isfinite(x), "overflow in exp")
+            elif e.func == "ln":
+                _check(fails, x <= 0.0, "ln of a non-positive value")
+            elif e.func == "sqrt":
+                _check(fails, x < 0.0, "sqrt of a negative value")
+        return out
+    if isinstance(e, Var):
+        return env[e.name]
+    if isinstance(e, _Folded):
+        if e.values.shape != env["t"].shape:
+            raise DomainError(
+                f"folded samples have shape {e.values.shape}, "
+                f"the evaluation has shape {env['t'].shape}"
+            )
+        return e.values
+    if isinstance(e, Neg):
+        return -_walk(e.operand, env, fails)
+    if isinstance(e, Num):
+        if fails is None and not math.isfinite(e.value):
+            raise FloatingPointError("non-finite literal")
+        return np.full(env["t"].shape, e.value)
     raise TypeError(f"not an expression node: {e!r}")
 
 
@@ -289,21 +312,84 @@ def evaluate(
     floating-point overflow.  For arrays the error names the lowest failing
     flat index (``.index``) and carries the message of that point's first
     failing operation in evaluation order, as a scalar call there would.
+
+    Floating-point flags detect a failure; masks explain it.  When t, u and
+    v are all finite the tree is walked once with no checks, under numpy's
+    IEEE divide, overflow and invalid flags set to raise: for finite inputs
+    every failing check raises one of them.  Only a raised flag, a
+    non-finite input or a non-finite literal runs the walk again with every
+    check as a mask, which then raises the error above or returns its value.
     """
-    t, u, v = np.broadcast_arrays(*(np.asarray(x, dtype=float) for x in (t, u, v)))
+    t, u, v = (np.asarray(x, dtype=float) for x in (t, u, v))
+    if not t.shape == u.shape == v.shape:
+        t, u, v = np.broadcast_arrays(t, u, v)
     # always 1-d inside: numpy computes 0-d x^2, x^0.5 and x^-1 by special
     # cases that can differ from its array loop by an ulp
     env = {"t": t.reshape(-1), "u": u.reshape(-1), "v": v.reshape(-1)}
-    fails: list[tuple[str, np.ndarray]] = []
-    with np.errstate(all="ignore"):
-        out = _walk(e, env, fails)
-    if fails:
-        index = min(int(np.flatnonzero(mask)[0]) for _, mask in fails)
-        message = next(msg for msg, mask in fails if mask[index])
-        raise EvaluationError(message, index)
+    out = None
+    # with an infinite input a node can fail with no flag: 1/(t+1) is 0
+    if all(np.isfinite(x).all() for x in env.values()):
+        try:
+            with np.errstate(**_FLAGS):
+                out = _walk(e, env, None)
+        except FloatingPointError:
+            pass
+    if out is None:
+        fails: list[tuple[str, np.ndarray]] = []
+        with np.errstate(all="ignore"):
+            out = _walk(e, env, fails)
+        if fails:
+            index = min(int(np.flatnonzero(mask)[0]) for _, mask in fails)
+            message = next(msg for msg, mask in fails if mask[index])
+            raise EvaluationError(message, index)
     if t.ndim == 0:
         return float(out[0])
+    if isinstance(e, (Var, _Folded)):
+        out = out.copy()
     return out.reshape(t.shape)
+
+
+def fold_invariants(e: Expr, t: np.ndarray) -> Expr:
+    """Fold the tree for repeated evaluation at the same t nodes.
+
+    Each maximal subtree that does not mention u or v becomes a private leaf
+    holding its samples at ``t``, so evaluating the result at ``t`` (and any
+    u, v) does only the work that changes.  A subtree is folded only when
+    its evaluation at ``t`` succeeds with finite values; the result then
+    gives bit-identical values and raises exactly the errors of ``e``.  The
+    result is for evaluation at ``t`` alone: its leaves check only that the
+    number of points matches (:class:`DomainError` otherwise), and
+    :func:`to_source` cannot print them.
+    """
+    t = np.asarray(t, dtype=float).reshape(-1)
+
+    def leaf(x: Expr) -> Expr:
+        try:
+            values = evaluate(x, t, t, t)
+        except EvaluationError:
+            return x
+        return _Folded(values) if np.isfinite(values).all() else x
+
+    def fold(x: Expr) -> tuple[Expr, bool]:
+        # (x with its maximal u,v-free subtrees folded, whether x is u,v-free)
+        if isinstance(x, Var):
+            return x, x.name == "t"
+        if isinstance(x, Num):
+            return x, True
+        if isinstance(x, Neg):
+            parts = {"operand": x.operand}
+        elif isinstance(x, BinOp):
+            parts = {"left": x.left, "right": x.right}
+        else:
+            parts = {"arg": x.arg}
+        done = {name: fold(child) for name, child in parts.items()}
+        if all(free for _, free in done.values()):
+            return x, True
+        kids = {name: leaf(child) if free else child for name, (child, free) in done.items()}
+        return replace(x, **kids), False
+
+    folded, free = fold(e)
+    return leaf(folded) if free else folded
 
 
 def to_source(e: Expr) -> str:

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DivergenceError, DomainError, EvaluationError
-from .expr import Expr, evaluate
+from .expr import Expr, evaluate, fold_invariants
 from .fracops import Grid, GridFunction, caputo_grid
 from .greens import KernelOperator, ProblemParams, companion_operator, green_operator
 
@@ -190,6 +190,10 @@ def picard_solve(
     outcome is reported instead; an expanding map then surfaces as a
     divergence error rather than a false success.
 
+    The right-hand side's u,v-free subtrees are sampled at the grid nodes
+    once (:func:`expr.fold_invariants`), so each sweep evaluates only the
+    part of f that changes.
+
     Raises :class:`DivergenceError` when iterates grow past the norm cap or
     max_iter is exhausted without contraction.
     """
@@ -202,6 +206,7 @@ def picard_solve(
     grid = Grid(n)
     green_w = green_operator(spec.params, grid)
     companion_w = companion_operator(spec.params, grid)
+    spec = ProblemSpec(spec.params, fold_invariants(spec.rhs, grid.nodes))
     pair, report = _iterate(spec, zero_pair(grid), green_w, companion_w, tol, max_iter)
     if report.iterations == 1:
         seed = SolutionPair(

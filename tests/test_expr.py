@@ -7,9 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fracbvp import DomainError, evaluate, lipschitz_estimate, parse
+from fracbvp import DomainError, evaluate, expr, lipschitz_estimate, parse
 from fracbvp.errors import EvaluationError, ParseError, UnknownIdentifierError
-from fracbvp.expr import BinOp, Call, Neg, Num, Var, to_source
+from fracbvp.expr import BinOp, Call, Neg, Num, Var, fold_invariants, to_source
 
 from conftest import oracle_evaluate
 
@@ -169,23 +169,30 @@ def test_trailing_garbage_rejected():
         parse("t)")
 
 
+EVALUATION_ERRORS = (
+    ("1/t", 0.0, "division by zero"),
+    ("ln(t)", 0.0, "ln of a non-positive value"),
+    ("ln(0-1)", 1.0, "ln of a non-positive value"),
+    ("sqrt(0-1)", 1.0, "sqrt of a negative value"),
+    ("(0-2)^0.5", 1.0, "fractional power of a negative base"),
+    ("0^-1", 1.0, "zero raised to a negative power"),
+    ("10^400", 1.0, "overflow in power"),
+    ("exp(800)", 1.0, "overflow in exp"),
+    ("exp(exp(exp(exp(t))))", 1.0, "overflow in exp"),
+    ("1e300*1e300", 1.0, "non-finite result from '*'"),
+    ("1e308+1e308", 1.0, "non-finite result from '+'"),
+    ("0-1e308-1e308", 1.0, "non-finite result from '-'"),
+    ("0/t", 0.0, "division by zero"),
+    ("(-t)^-1", 0.0, "zero raised to a negative power"),
+    ("1e300/1e-300", 1.0, "non-finite result from '/'"),
+    # both operands fail at t = 0: the first in evaluation order wins
+    ("1/t+ln(t)", 0.0, "division by zero"),
+    ("ln(t)+1/t", 0.0, "ln of a non-positive value"),
+)
+
+
 def test_evaluation_errors():
-    bad = (
-        ("1/t", 0.0, "division by zero"),
-        ("ln(t)", 0.0, "ln of a non-positive value"),
-        ("ln(0-1)", 1.0, "ln of a non-positive value"),
-        ("sqrt(0-1)", 1.0, "sqrt of a negative value"),
-        ("(0-2)^0.5", 1.0, "fractional power of a negative base"),
-        ("0^-1", 1.0, "zero raised to a negative power"),
-        ("10^400", 1.0, "overflow in power"),
-        ("exp(800)", 1.0, "overflow in exp"),
-        ("exp(exp(exp(exp(t))))", 1.0, "overflow in exp"),
-        ("1e300*1e300", 1.0, "non-finite result from '*'"),
-        # both operands fail at t = 0: the first in evaluation order wins
-        ("1/t+ln(t)", 0.0, "division by zero"),
-        ("ln(t)+1/t", 0.0, "ln of a non-positive value"),
-    )
-    for src, t, message in bad:
+    for src, t, message in EVALUATION_ERRORS:
         tree = parse(src)
         for call in (evaluate, oracle_evaluate):
             with pytest.raises(EvaluationError) as info:
@@ -354,3 +361,109 @@ def test_lipschitz_estimate_matches_scalar_loop(src):
     # a 1-ulp change in f moves a central difference by ~eps*|f|/2e-6
     tree = parse(src)
     assert lipschitz_estimate(tree) == pytest.approx(_oracle_lipschitz(tree), rel=1e-8)
+
+
+@pytest.mark.parametrize(
+    "src, t, u, message, index",
+    [
+        # 1/(t+1) is 0 at t = inf and raises no floating-point flag
+        ("1/(t+1)", [0.5, math.inf], [0.0, 0.0], "non-finite result from '+'", 1),
+        ("exp(0-t)", [math.inf], [0.0], "non-finite result from '-'", 0),
+        ("u*0", [0.5], [math.inf], "non-finite result from '*'", 0),
+    ],
+)
+def test_non_finite_inputs_raise_at_the_first_non_finite_result(src, t, u, message, index):
+    with pytest.raises(EvaluationError) as info:
+        evaluate(parse(src), np.array(t), np.array(u), np.zeros(len(t)))
+    assert (str(info.value), info.value.index) == (message, index)
+
+
+def test_non_finite_inputs_pass_through_unary_nodes():
+    t = np.array([math.inf, math.nan])
+    assert np.isnan(evaluate(parse("sin(t)"), t, np.zeros(2), np.zeros(2))).all()
+    assert evaluate(parse("t"), math.inf, 0.0, 0.0) == math.inf
+
+
+def test_every_evaluation_error_raises_a_floating_point_flag():
+    # with finite inputs each failing check shows up as an IEEE exception
+    # flag, so the unmasked walk never returns where the masked walk fails
+    for src, t, _ in EVALUATION_ERRORS:
+        env = {name: np.array([t if name == "t" else 0.0]) for name in "tuv"}
+        with np.errstate(**expr._FLAGS), pytest.raises(FloatingPointError):
+            expr._walk(parse(src), env, None)
+
+
+def test_non_finite_literal_is_checked_like_a_non_finite_result():
+    # the parser rejects such literals; a hand-built tree still gets the
+    # masked walk's answer, folded or not
+    tree = BinOp("+", Num(math.inf), Var("u"))
+    t = np.linspace(0.0, 1.0, 3)
+    for e in (tree, fold_invariants(tree, t)):
+        with pytest.raises(EvaluationError) as info:
+            evaluate(e, t, np.zeros(3), np.zeros(3))
+        assert str(info.value) == "non-finite result from '+'"
+
+
+NON_FINITE = st.sampled_from((math.inf, -math.inf, math.nan))
+
+
+@settings(max_examples=300, deadline=None)
+@given(src=st.sampled_from(EXPRESSION_CORPUS + DOMAIN_EXPRESSIONS), data=st.data())
+def test_folded_tree_matches_original(src, data):
+    size = data.draw(st.integers(1, 12))
+    point = POINT | NON_FINITE if data.draw(st.booleans()) else POINT
+    t, u, v = (
+        np.array(data.draw(st.lists(point, min_size=size, max_size=size))) for _ in range(3)
+    )
+    tree = parse(src)
+    folded = fold_invariants(tree, t)
+    want, want_exc = _outcome(lambda: evaluate(tree, t, u, v))
+    got, got_exc = _outcome(lambda: evaluate(folded, t, u, v))
+    if want_exc is None:
+        assert got_exc is None, src
+        assert got.tobytes() == want.tobytes(), src  # bit for bit
+    else:
+        assert got_exc is not None, src
+        assert (type(got_exc), str(got_exc), got_exc.index) == (
+            type(want_exc),
+            str(want_exc),
+            want_exc.index,
+        ), src
+
+
+def test_fold_replaces_exactly_the_maximal_state_free_subtrees():
+    t = np.linspace(0.0, 1.0, 5)
+    tree = parse("2*u + sin(v)*cos(3*t) - ln(2+t)")
+    folded = fold_invariants(tree, t)
+    leaves = []
+
+    def visit(e):
+        if isinstance(e, expr._Folded):
+            leaves.append(e.values)
+        elif isinstance(e, Neg):
+            visit(e.operand)
+        elif isinstance(e, BinOp):
+            visit(e.left)
+            visit(e.right)
+        elif isinstance(e, Call):
+            visit(e.arg)
+
+    visit(folded)
+    want = [np.full(5, 2.0), np.cos(3 * t), np.log(2 + t)]
+    assert [x.tobytes() for x in leaves] == [x.tobytes() for x in want]
+    # a tree free of u and v folds to one leaf; a failing subtree stays
+    assert isinstance(fold_invariants(parse("exp(t)"), t), expr._Folded)
+    assert fold_invariants(parse("u+1/t"), t) == BinOp("+", Var("u"), parse("1/t"))
+    # the evaluation's result is never the leaf itself
+    whole = fold_invariants(parse("exp(t)"), t)
+    out = evaluate(whole, t, t, t)
+    out[0] = 7.0
+    assert whole.values[0] == 1.0
+
+
+def test_folded_tree_rejects_another_number_of_nodes():
+    folded = fold_invariants(parse("u*sin(t)"), np.linspace(0.0, 1.0, 5))
+    with pytest.raises(DomainError):
+        evaluate(folded, np.zeros(4), np.zeros(4), np.zeros(4))
+    with pytest.raises(DomainError):
+        evaluate(folded, 0.5, 0.0, 0.0)

@@ -1,5 +1,7 @@
 """Fixed-point operator, Picard iteration, linear solves, residual checks."""
 
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -11,6 +13,7 @@ from fracbvp import (
     ProblemParams,
     ProblemSpec,
     SolutionPair,
+    expr,
     gamma,
     linear_solve,
     parse,
@@ -199,3 +202,50 @@ def test_iteration_report_fields(example_solution):
     assert len(report.diffs) == report.iterations
     assert all(d >= 0.0 for d in report.diffs)
     assert isinstance(report.diffs, tuple)
+
+
+# the three solve templates of perfbench/gen.py at sample coefficients,
+# plus a right-hand side that vanishes on the zero pair (probe-seed restart)
+SOLVE_TEMPLATES = (
+    "0.5*u + 0.02*sin(v) + cos(2.5*t) - 0.7*t^2",
+    "-0.5*u + 0.02*v^2/(1 + v^2) + exp(-2.5*t)*sqrt(1 + 0.7*t)",
+    "0.5*u + 0.02*cos(u + v) + 0.7*ln(2 + sin(pi*t))",
+    "0.5*u*cos(t)",
+)
+
+
+def _state_free_nodes(e):
+    """ids of the nodes of e whose subtree mentions neither u nor v."""
+    found = []
+
+    def visit(x):
+        kids = [getattr(x, name) for name in ("operand", "left", "right", "arg") if hasattr(x, name)]
+        free = [visit(k) for k in kids]
+        here = all(free) and not (isinstance(x, expr.Var) and x.name != "t")
+        if here:
+            found.append(id(x))
+        return here
+
+    visit(e)
+    return found
+
+
+@pytest.mark.parametrize("src", SOLVE_TEMPLATES)
+def test_picard_sweeps_walk_unmasked_and_fold_t_terms_once(example_params, src, monkeypatch):
+    # every node visit goes through expr._walk, which calls itself by name
+    visits = []
+    walk = expr._walk
+
+    def counting_walk(e, env, fails):
+        visits.append((id(e), fails is None))
+        return walk(e, env, fails)
+
+    monkeypatch.setattr(expr, "_walk", counting_walk)
+    spec = ProblemSpec(example_params, parse(src))
+    _, report = picard_solve(spec, 129, tol=1e-10)
+    assert report.iterations > 5
+    assert all(unmasked for _, unmasked in visits), src
+    counts = Counter(node for node, _ in visits)
+    # once, when picard_solve folds them; never again in a sweep
+    free = _state_free_nodes(spec.rhs)
+    assert free and all(counts[node] == 1 for node in free), src
