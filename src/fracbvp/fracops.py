@@ -28,40 +28,16 @@ import numpy as np
 
 from .errors import DomainError
 
-# Lanczos approximation, g = 7 with 8 correction terms (Godfrey's tableau).
-# Relative error stays below 1e-13 for real arguments in the ranges used here.
-_LANCZOS_G = 7.0
-_LANCZOS_BASE = 0.99999999999980993
-_LANCZOS_COEFFS = (
-    676.5203681218851,
-    -1259.1392167224028,
-    771.32342877765313,
-    -176.61502916214059,
-    12.507343278686905,
-    -0.13857109526572012,
-    9.9843695780195716e-6,
-    1.5056327351493116e-7,
-)
-
-
 def gamma(x: float) -> float:
-    """Gamma function for real x > 0.
+    """Gamma function for finite real x > 0, by :func:`math.gamma`.
 
-    Uses the Lanczos rational approximation above; arguments below 1/2 go
-    through the reflection formula so the sum is only ever evaluated on the
-    half-line where its error bound holds.
+    Its relative error on (0, 3.5], where the kernels' arguments lie, is
+    below 1e-15.  Other arguments raise :class:`DomainError`.
     """
     x = float(x)
     if not math.isfinite(x) or x <= 0.0:
         raise DomainError(f"gamma requires a finite argument > 0, got {x!r}")
-    if x < 0.5:
-        return math.pi / (math.sin(math.pi * x) * gamma(1.0 - x))
-    z = x - 1.0
-    acc = _LANCZOS_BASE
-    for i, c in enumerate(_LANCZOS_COEFFS):
-        acc += c / (z + i + 1.0)
-    t = z + _LANCZOS_G + 0.5
-    return math.sqrt(2.0 * math.pi) * t ** (z + 0.5) * math.exp(-t) * acc
+    return math.gamma(x)
 
 
 @dataclass(frozen=True)

@@ -22,14 +22,16 @@ Both kernels are weakly singular at s = 1 when alpha - beta < 1, yet their
 moments against hat functions are finite, so grid weights exist for every
 admissible parameter triple.
 
-On a uniform grid each kernel's weights are a :class:`KernelOperator`: the
-1_{s<=t} terms give a lower-triangular Toeplitz matrix (apart from column
-0), and the (1-s) terms a rank-2 (G) or rank-1 (H) update, so the weights
-take O(n) memory and apply in O(n log n).  :func:`green_operator` and
-:func:`companion_operator` are the only place the weight formulas live; the
-dense n x n matrices of :func:`green_weight_matrix` and
-:func:`companion_weight_matrix` are their expansions, kept as a small-n
-reference for tests.
+Each kernel is written once, as a table of terms (``_green_terms``,
+``_companion_terms``); the term tables are where the formulas live.  The
+grid weights, the pointwise values and G's antiderivative are derived from
+them term by term, each by one function.  On a uniform grid each kernel's
+weights are a :class:`KernelOperator`: the 1_{s<=t} terms give a
+lower-triangular Toeplitz matrix (apart from column 0), and the (1-s) terms
+a rank-2 (G) or rank-1 (H) update, so the weights take O(n) memory and
+apply in O(n log n).  The dense n x n matrices of
+:func:`green_weight_matrix` and :func:`companion_weight_matrix` are their
+expansions, kept as a small-n reference for tests.
 
 For each t, G(t, .) changes sign at most once, from + to -.  With r = 1-s,
 A = xi/(Gamma(alpha)(1-xi)) and B(t) the coefficient of the singular term,
@@ -74,7 +76,6 @@ from .fracops import (
     gamma,
     left_kernel_toeplitz,
     lower_toeplitz_apply,
-    right_kernel_moments,
     toeplitz_spectrum,
 )
 
@@ -144,65 +145,123 @@ class KernelOperator:
         return out
 
 
-def _ratio_coeff(p: ProblemParams) -> float:
-    """Coefficient of the (1-s)^(alpha-1) term common to both branches."""
-    return p.xi / (gamma(p.alpha) * (1.0 - p.xi))
+# A kernel's terms are (kind, q, c): a coefficient c, a float or a function
+# of t, times
+#   "left"       (t-s)_+^(q-1) / Gamma(q), the Riemann-Liouville kernel;
+#   "indicator"  1_{s<=t}, taken empty at t = 0 (that interval carries no mass);
+#   "right"      (1-s)^(q-1).
+# Left and indicator coefficients are constants, so those terms stay Toeplitz.
 
 
-def _singular_coeff(p: ProblemParams, t: float | np.ndarray) -> float | np.ndarray:
-    """Coefficient of the (1-s)^(alpha-beta-1) term; grows affinely in t."""
+def _green_terms(p: ProblemParams) -> tuple:
+    a, b, xi = p.alpha, p.beta, p.xi
+    ga_b, gb = gamma(a - b), gamma(2.0 - b)
     return (
-        gamma(2.0 - p.beta)
-        * (p.xi + (1.0 - p.xi) * t)
-        / (gamma(p.alpha - p.beta) * (1.0 - p.xi))
+        ("left", a, 1.0),
+        ("right", a, xi / (gamma(a) * (1.0 - xi))),  # A
+        ("right", a - b, lambda t: -gb * (xi + (1.0 - xi) * t) / (ga_b * (1.0 - xi))),  # -B(t)
     )
 
 
-def _companion_coeff(p: ProblemParams) -> float:
-    return gamma(2.0 - p.beta) / (gamma(3.0 - p.alpha) * gamma(p.alpha - p.beta))
+def _companion_terms(p: ProblemParams) -> tuple:
+    a, b = p.alpha, p.beta
+    c = gamma(2.0 - b) / (gamma(3.0 - a) * gamma(a - b))
+    # 0^0 = 1 here keeps the alpha = 2 case (t-independent coefficient) right.
+    return (("indicator", 1.0, 1.0), ("right", a - b, lambda t: -c * t ** (2.0 - a)))
 
 
-def _check_point(name: str, x: float) -> float:
-    x = float(x)
-    if not (0.0 <= x <= 1.0):
-        raise DomainError(f"{name} must lie in [0, 1], got {x!r}")
-    return x
+def _operator(terms, grid: Grid) -> KernelOperator:
+    """Exact hat-function moments of a term table at every grid node.
+
+    Left and indicator terms add into the Toeplitz data.  The moments of a
+    right term of order q are the t = 1 row of the order-q left moments, so
+    they are read off the same Toeplitz data, built once per distinct order,
+    and the term becomes a rank-1 factor.
+    """
+    n, h = grid.n, grid.h
+    column, first, factors, built = np.zeros(n), np.zeros(n), [], {}
+    for kind, q, c in terms:
+        if kind == "indicator":  # the trapezoid rule on [0, t_i]
+            col, fst = np.full(n, h), np.full(n, 0.5 * h)
+            col[0], fst[0] = 0.5 * h, 0.0
+        else:
+            if q not in built:
+                built[q] = left_kernel_toeplitz(q, grid)
+            col, fst = built[q]
+        if kind == "right":
+            w = np.append(fst[-1], col[-2::-1])
+            factors.append((c(grid.nodes), w) if callable(c) else (np.ones(n), c * w))
+        else:
+            scale = gamma(q) if kind == "left" else 1.0
+            column += c * col / scale
+            first += c * fst / scale
+    return KernelOperator(column, first, tuple(factors))
+
+
+def _value(terms, t: float, s):
+    """Sum of the terms at (t, s); s may be a scalar or an array."""
+    total = 0.0
+    for kind, q, c in terms:
+        c = c(t) if callable(c) else c
+        if kind == "left":
+            total = total + c * np.maximum(t - s, 0.0) ** (q - 1.0) / gamma(q)
+        elif kind == "right":
+            total = total + c * (1.0 - s) ** (q - 1.0)
+        else:
+            total = total + c * ((s <= t) & (t > 0.0))
+    return total
+
+
+def _eval(terms, name: str, t: float, s: float) -> float:
+    """Pointwise value of a term table, with t and s checked against [0, 1].
+
+    Raises :class:`SingularityError` at s = 1 when a right term has order
+    q < 1, where the kernel is unbounded.
+    """
+    t, s = float(t), float(s)
+    for var, x in (("t", t), ("s", s)):
+        if not (0.0 <= x <= 1.0):
+            raise DomainError(f"{var} must lie in [0, 1], got {x!r}")
+    if s == 1.0 and any(kind == "right" and q < 1.0 for kind, q, _ in terms):
+        raise SingularityError(f"{name} is unbounded at s = 1 for alpha - beta < 1")
+    return float(_value(terms, t, s))
+
+
+def _primitive(terms, t: np.ndarray, x):
+    """P(t, x) = integral_0^x of a table's left and right terms, for arrays t.
+
+    The right terms' (1 - (1-x)^q)/q are formed as -expm1(q log1p(-x))/q, so
+    they keep full precision as q -> 0.  Indicator terms are not covered.
+    """
+    total = 0.0
+    for kind, q, c in terms:
+        c = c(t) if callable(c) else c
+        if kind == "left":
+            total = total + c * (t**q - np.maximum(t - x, 0.0) ** q) / (q * gamma(q))
+        else:
+            total = total - c * np.expm1(q * np.log1p(-x)) / q
+    return total
 
 
 def green_branch_value(p: ProblemParams, t: float, s, left: bool):
     """Kernel value using a fixed branch formula; accepts scalar or array s.
 
-    ``left=True`` selects the branch valid for s <= t (it adds the
-    (t-s)^(alpha-1) term); ``left=False`` the branch for s >= t.  Both
-    formulas are real-analytic in s below 1, so either can be continued past
-    s = t.
+    ``left=True`` selects the branch for s <= t; its (t-s)_+^(alpha-1) term
+    vanishes for s >= t, so past s = t it equals the right branch.
+    ``left=False`` drops that term: the branch for s >= t, real-analytic in
+    s below 1, which continues past s = t to the left.
     """
-    a, b = p.alpha, p.beta
-    s = np.asarray(s, dtype=float) if not np.isscalar(s) else float(s)
-    rem = 1.0 - s
-    val = _ratio_coeff(p) * rem ** (a - 1.0) - _singular_coeff(p, t) * rem ** (
-        a - b - 1.0
-    )
-    if left:
-        gap = np.maximum(t - s, 0.0) if not np.isscalar(s) else max(t - s, 0.0)
-        val = val + gap ** (a - 1.0) / gamma(a)
-    return val
+    s = float(s) if np.isscalar(s) else np.asarray(s, dtype=float)
+    return _value([term for term in _green_terms(p) if left or term[0] != "left"], t, s)
 
 
 def green_eval(p: ProblemParams, t: float, s: float) -> float:
     """Pointwise kernel value G(t, s).
 
-    Points with s <= t use the left branch (the tie at s = t is immaterial:
-    the branches agree there).  Raises :class:`SingularityError` at s = 1
-    when alpha - beta < 1, where the kernel is unbounded.
+    Raises :class:`SingularityError` at s = 1 when alpha - beta < 1, where
+    the kernel is unbounded.
     """
-    t = _check_point("t", t)
-    s = _check_point("s", s)
-    if s == 1.0 and p.alpha - p.beta < 1.0:
-        raise SingularityError(
-            "kernel is unbounded at s = 1 for alpha - beta < 1"
-        )
-    return float(green_branch_value(p, t, s, left=s <= t))
+    return _eval(_green_terms(p), "kernel", t, s)
 
 
 def companion_eval(p: ProblemParams, t: float, s: float) -> float:
@@ -213,17 +272,7 @@ def companion_eval(p: ProblemParams, t: float, s: float) -> float:
     alpha < 2.  Raises :class:`SingularityError` at s = 1 when
     alpha - beta < 1.
     """
-    t = _check_point("t", t)
-    s = _check_point("s", s)
-    if s == 1.0 and p.alpha - p.beta < 1.0:
-        raise SingularityError(
-            "companion kernel is unbounded at s = 1 for alpha - beta < 1"
-        )
-    indicator = 1.0 if (s <= t and t > 0.0) else 0.0
-    # 0^0 = 1 here keeps the alpha = 2 case (t-independent coefficient) right.
-    return indicator - _companion_coeff(p) * t ** (2.0 - p.alpha) * (1.0 - s) ** (
-        p.alpha - p.beta - 1.0
-    )
+    return _eval(_companion_terms(p), "companion kernel", t, s)
 
 
 def green_operator(p: ProblemParams, grid: Grid) -> KernelOperator:
@@ -233,22 +282,9 @@ def green_operator(p: ProblemParams, grid: Grid) -> KernelOperator:
     weights to samples of y reproduces integral_0^1 G(t_i, s) y(s) ds exactly
     whenever y is piecewise linear on the grid.  Weights are finite even when
     the kernel itself is unbounded at s = 1.  The left term gives the Toeplitz
-    part; the two (1-s) terms give a rank-2 update.  The (1-s)^(alpha-1)
-    moments are the t = 1 row of the left moments, so they are read off the
-    Toeplitz data as :func:`right_kernel_moments` would.
+    part; the two (1-s) terms give a rank-2 update.
     """
-    a, b = p.alpha, p.beta
-    column, first = left_kernel_toeplitz(a, grid)
-    right_a = column[::-1].copy()
-    right_a[0] = first[-1]
-    return KernelOperator(
-        column / gamma(a),
-        first / gamma(a),
-        (
-            (np.ones(grid.n), _ratio_coeff(p) * right_a),
-            (-_singular_coeff(p, grid.nodes), right_kernel_moments(a - b, grid)),
-        ),
-    )
+    return _operator(_green_terms(p), grid)
 
 
 def companion_operator(p: ProblemParams, grid: Grid) -> KernelOperator:
@@ -257,16 +293,9 @@ def companion_operator(p: ProblemParams, grid: Grid) -> KernelOperator:
     The indicator term is the trapezoid rule on [0, t_i]: Toeplitz column
     [h/2, h, h, ...] with column 0 equal to h/2 below row 0.  At t_0 = 0 with
     alpha < 2 the row is identically zero, matching D^(alpha-1) u(0) = 0 for
-    every forcing.
+    every forcing.  The (1-s) term gives a rank-1 update.
     """
-    a, b = p.alpha, p.beta
-    h = grid.h
-    column = np.full(grid.n, h)
-    column[0] = 0.5 * h
-    first = np.full(grid.n, 0.5 * h)
-    first[0] = 0.0
-    coeff = _companion_coeff(p) * grid.nodes ** (2.0 - a)
-    return KernelOperator(column, first, ((-coeff, right_kernel_moments(a - b, grid)),))
+    return _operator(_companion_terms(p), grid)
 
 
 def green_weight_matrix(p: ProblemParams, grid: Grid) -> np.ndarray:
@@ -306,8 +335,7 @@ def green_sign_change(p: ProblemParams, t) -> np.ndarray:
     stay at or below the root: no bracket is needed, and the loop stops
     when no iterate increases any more.
     """
-    t = np.asarray(t, dtype=float)
-    return _sign_change(p, t, gamma(p.alpha), _ratio_coeff(p), _singular_coeff(p, t))
+    return _sign_change(p, np.asarray(t, dtype=float), _green_terms(p))
 
 
 # Guard on the Newton passes of _sign_change; the loop ends when no iterate
@@ -329,11 +357,13 @@ def _convex_residual(z, scale, ga, ratio, sing, b, q):
     return f, df
 
 
-def _sign_change(p: ProblemParams, t: np.ndarray, ga: float, ratio: float, sing) -> np.ndarray:
-    """:func:`green_sign_change` given Gamma(alpha), A and B(t)."""
+def _sign_change(p: ProblemParams, t: np.ndarray, terms) -> np.ndarray:
+    """:func:`green_sign_change`, with Gamma(alpha), A and B(t) from G's terms."""
     a, b = p.alpha, p.beta
+    _, (_, _, ratio), (_, _, minus_sing) = terms
+    ga = gamma(a)
     t1 = np.atleast_1d(t)
-    sing = np.broadcast_to(sing, t1.shape)
+    sing = -minus_sing(t1)
     # an overflowing closed form is never selected
     with np.errstate(over="ignore"):
         g0 = t1 ** (a - 1.0) / ga + ratio - sing  # g(0)
@@ -366,24 +396,12 @@ def green_abs_mass(p: ProblemParams, t) -> np.ndarray:
     """M(t) = integral_0^1 |G(t, s)| ds for an array of t, in closed form.
 
     With s* from :func:`green_sign_change` and the kernel's antiderivative
-    P(t, x) = integral_0^x G(t, s) ds, M(t) = 2 P(t, s*) - P(t, 1).  The
-    terms (1 - r^mu)/mu of P are formed as -expm1(mu log r)/mu, so they keep
-    full precision as alpha - beta -> 0.
+    P(t, x) = integral_0^x G(t, s) ds, M(t) = 2 P(t, s*) - P(t, 1).
     """
-    a, mu = p.alpha, p.alpha - p.beta
     t = np.asarray(t, dtype=float)
-    ga, ratio, sing = gamma(a), _ratio_coeff(p), _singular_coeff(p, t)
-
-    def primitive(x):
-        log_rem = np.log1p(-x)  # -inf at x = 1, where expm1 gives -1
-        return (
-            (t**a - np.maximum(t - x, 0.0) ** a) / (a * ga)
-            - ratio * np.expm1(a * log_rem) / a
-            + sing * np.expm1(mu * log_rem) / mu
-        )
-
-    with np.errstate(divide="ignore"):
-        return 2.0 * primitive(_sign_change(p, t, ga, ratio, sing)) - primitive(1.0)
+    terms = _green_terms(p)
+    with np.errstate(divide="ignore"):  # log1p(-1) = -inf, where expm1 gives -1
+        return 2.0 * _primitive(terms, t, _sign_change(p, t, terms)) - _primitive(terms, t, 1.0)
 
 
 def gstar(p: ProblemParams, n: int = 2049, m: int = 513) -> float:

@@ -53,10 +53,27 @@ def test_gamma_half_integer_and_integer_values():
 
 
 def test_gamma_small_arguments_use_reflection():
-    # arguments below 1/2 go through the reflection formula
+    # arguments below 1/2, where Gamma grows like 1/x
     for x in (0.05, 0.2, 0.49):
         want = math.gamma(x)
         assert abs(gamma(x) - want) <= abs(want) * 1e-12
+
+
+def test_gamma_matches_mpmath_on_the_kernel_range():
+    # Every Gamma argument of the kernels and certificates lies in (0, 3.5].
+    mpmath = pytest.importorskip("mpmath")
+    xs = np.concatenate(
+        (
+            np.linspace(0.0, 3.5, 4001)[1:],
+            np.random.default_rng(5).uniform(0.0, 3.5, 2000),
+            2.0 ** -np.arange(1.0, 40.0),
+        )
+    )
+    with mpmath.workdps(40):
+        worst = max(
+            abs(mpmath.mpf(gamma(x)) / mpmath.gamma(mpmath.mpf(x)) - 1) for x in xs.tolist()
+        )
+    assert worst <= 1e-15
 
 
 def test_gamma_rejects_nonpositive_arguments():

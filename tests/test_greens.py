@@ -68,6 +68,10 @@ def test_branches_agree_on_the_diagonal(example_params):
         a = green_branch_value(p, t, t, left=True)
         b = green_branch_value(p, t, t, left=False)
         assert abs(a - b) <= 1e-12
+        # below the diagonal the branches differ by the (t-s)^(alpha-1) term
+        s = 0.5 * t
+        gap = green_branch_value(p, t, s, left=True) - green_branch_value(p, t, s, left=False)
+        assert abs(gap - (t - s) ** (p.alpha - 1.0) / gamma(p.alpha)) <= 1e-12
 
 
 def test_green_spot_values(example_params):
@@ -115,6 +119,7 @@ def test_companion_vanishes_at_origin():
             continue
         s = float(rng.uniform(0.0, 1.0))
         assert companion_eval(p, 0.0, s) == 0.0
+        assert companion_eval(p, 0.0, 0.0) == 0.0  # the indicator is empty at t = 0
 
 
 def test_companion_spot_values(example_params):
@@ -250,6 +255,27 @@ def test_operator_matches_dense(p, n, seed):
             terms += np.abs(left) * (np.abs(right) @ np.abs(f))
         err = np.max(np.abs(op @ f - op.dense() @ f))
         assert err <= 1e-13 * np.max(terms)
+
+
+@settings(max_examples=60, deadline=None)
+@given(p=_box_params(), n=st.integers(2, 2049))
+def test_operator_row_sums_match_closed_form(p, n):
+    # A constant forcing is piecewise linear, so each row sum is the exact
+    # integral over s of the kernel's terms.  As in test_operator_matches_dense,
+    # the error is measured against the size of those terms, which cancel
+    # as beta -> 0 with xi -> 1.
+    a, b, xi = p.alpha, p.beta, p.xi
+    g = Grid(n)
+    t, ones = g.nodes, np.ones(n)
+    ratio = xi / (gamma(a) * (1.0 - xi))
+    sing = gamma(2.0 - b) * (xi + (1.0 - xi) * t) / (gamma(a - b) * (1.0 - xi))
+    comp = gamma(2.0 - b) / (gamma(3.0 - a) * gamma(a - b)) * t ** (2.0 - a)
+    for op, terms in (
+        (green_operator(p, g), (t**a / gamma(a + 1.0), ratio / a * ones, -sing / (a - b))),
+        (companion_operator(p, g), (t, -comp / (a - b))),
+    ):
+        err = np.max(np.abs(op @ ones - sum(terms)))
+        assert err <= 1e-14 * np.max(sum(np.abs(term) for term in terms))
 
 
 def test_constant_forcing_closed_form(example_params):
