@@ -272,6 +272,7 @@ def cmd_solve(config: Config, out_dir: str) -> int:
         "final_diff": report.diffs[-1],
         "observed_ratio": report.observed_ratio,
         "diffs": list(report.diffs),
+        "accelerated": list(report.accelerated),
     }
     body.update(res.as_dict())
     _write_atomic(

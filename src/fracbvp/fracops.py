@@ -159,13 +159,17 @@ def _fft_size(n: int) -> int:
 
 
 def toeplitz_spectrum(column: np.ndarray) -> np.ndarray:
-    """Real FFT of a Toeplitz column at the length :func:`lower_toeplitz_apply`
-    uses for inputs of the same length; pass it there to reuse it."""
+    """Real FFT of a Toeplitz column, or of an input vector, at the length
+    :func:`lower_toeplitz_apply` uses for that length; pass it there to
+    reuse it."""
     return np.fft.rfft(column, _fft_size(len(column)))
 
 
 def lower_toeplitz_apply(
-    column: np.ndarray, x: np.ndarray, spectrum: np.ndarray | None = None
+    column: np.ndarray,
+    x: np.ndarray,
+    spectrum: np.ndarray | None = None,
+    x_spectrum: np.ndarray | None = None,
 ) -> np.ndarray:
     """Product T x with the lower-triangular Toeplitz T[i, j] = column[i - j].
 
@@ -175,13 +179,16 @@ def lower_toeplitz_apply(
     the single term column[n-1] * x[n-1], wraps around, and it lands on
     entry 0.  Entry 0 has a single term of its own and is set exactly, which
     makes the first n entries exact and keeps rows that vanish at t = 0
-    exactly zero.  ``spectrum``, if given, is ``toeplitz_spectrum(column)``.
+    exactly zero.  ``spectrum`` and ``x_spectrum``, if given, are
+    ``toeplitz_spectrum(column)`` and ``toeplitz_spectrum(x)``.
     """
     n = len(x)
     size = _fft_size(n)
     if spectrum is None:
         spectrum = toeplitz_spectrum(column)
-    out = np.fft.irfft(spectrum * np.fft.rfft(x, size), size)[:n]
+    if x_spectrum is None:
+        x_spectrum = toeplitz_spectrum(x)
+    out = np.fft.irfft(spectrum * x_spectrum, size)[:n]
     out[0] = column[0] * x[0]
     return out
 

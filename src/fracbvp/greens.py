@@ -109,8 +109,9 @@ class KernelOperator:
     ``first`` replaces T's column 0, and ``factors`` holds the (left, right)
     pairs of a low-rank update.  The spectrum of ``column`` is computed once,
     at construction, so ``W @ x`` costs one forward and one inverse FFT plus
-    a dot product per factor; :meth:`dense` expands W for small-n reference
-    checks.
+    a dot product per factor; operators of one grid can share the forward
+    transform of x through :meth:`apply`.  :meth:`dense` expands W for
+    small-n reference checks.
     """
 
     column: np.ndarray
@@ -127,7 +128,11 @@ class KernelOperator:
 
     def __matmul__(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=float)
-        out = lower_toeplitz_apply(self.column, x, self._spectrum)  # type: ignore[attr-defined]
+        return self.apply(x, toeplitz_spectrum(x))
+
+    def apply(self, x: np.ndarray, x_spectrum: np.ndarray) -> np.ndarray:
+        """W @ x for a float array x, given ``toeplitz_spectrum(x)``."""
+        out = lower_toeplitz_apply(self.column, x, self._spectrum, x_spectrum)  # type: ignore[attr-defined]
         out += (self.first - self.column) * x[0]
         for left, right in self.factors:
             out += left * (right @ x)
@@ -170,16 +175,17 @@ def _companion_terms(p: ProblemParams) -> tuple:
     return (("indicator", 1.0, 1.0), ("right", a - b, lambda t: -c * t ** (2.0 - a)))
 
 
-def _operator(terms, grid: Grid) -> KernelOperator:
+def _operator(terms, grid: Grid, built: dict) -> KernelOperator:
     """Exact hat-function moments of a term table at every grid node.
 
     Left and indicator terms add into the Toeplitz data.  The moments of a
     right term of order q are the t = 1 row of the order-q left moments, so
-    they are read off the same Toeplitz data, built once per distinct order,
-    and the term becomes a rank-1 factor.
+    they are read off the same Toeplitz data, built once per distinct order
+    and kept in ``built`` (order -> ``left_kernel_toeplitz`` result), and
+    the term becomes a rank-1 factor.
     """
     n, h = grid.n, grid.h
-    column, first, factors, built = np.zeros(n), np.zeros(n), [], {}
+    column, first, factors = np.zeros(n), np.zeros(n), []
     for kind, q, c in terms:
         if kind == "indicator":  # the trapezoid rule on [0, t_i]
             col, fst = np.full(n, h), np.full(n, 0.5 * h)
@@ -284,7 +290,7 @@ def green_operator(p: ProblemParams, grid: Grid) -> KernelOperator:
     the kernel itself is unbounded at s = 1.  The left term gives the Toeplitz
     part; the two (1-s) terms give a rank-2 update.
     """
-    return _operator(_green_terms(p), grid)
+    return _operator(_green_terms(p), grid, {})
 
 
 def companion_operator(p: ProblemParams, grid: Grid) -> KernelOperator:
@@ -295,7 +301,18 @@ def companion_operator(p: ProblemParams, grid: Grid) -> KernelOperator:
     alpha < 2 the row is identically zero, matching D^(alpha-1) u(0) = 0 for
     every forcing.  The (1-s) term gives a rank-1 update.
     """
-    return _operator(_companion_terms(p), grid)
+    return _operator(_companion_terms(p), grid, {})
+
+
+def kernel_operators(p: ProblemParams, grid: Grid) -> tuple[KernelOperator, KernelOperator]:
+    """:func:`green_operator` and :func:`companion_operator` from one build.
+
+    Both kernels have a (1-s)^(alpha-beta-1) term, so the Toeplitz data of
+    order alpha - beta is built once and shared; the operators are the same
+    as the two functions return.
+    """
+    built: dict = {}
+    return _operator(_green_terms(p), grid, built), _operator(_companion_terms(p), grid, built)
 
 
 def green_weight_matrix(p: ProblemParams, grid: Grid) -> np.ndarray:

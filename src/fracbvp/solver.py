@@ -9,7 +9,8 @@ conditions is solved as a fixed point of the integral operator
 acting on pairs w = (u, v); v approximates the reduced derivative
 D^(alpha-1) u through the companion kernel, never through numerical
 differentiation of u.  Distances between pairs use the norm
-max(sup|u|, sup|v|).
+max(sup|u|, sup|v|).  The fixed-point loop works on the stacked (2n,)
+array (u, v) and builds pairs only for its result.
 """
 
 from __future__ import annotations
@@ -21,8 +22,8 @@ import numpy as np
 
 from .errors import DivergenceError, DomainError, EvaluationError
 from .expr import Expr, evaluate, fold_invariants
-from .fracops import Grid, GridFunction, caputo_grid
-from .greens import KernelOperator, ProblemParams, companion_operator, green_operator
+from .fracops import Grid, GridFunction, caputo_grid, toeplitz_spectrum
+from .greens import KernelOperator, ProblemParams, kernel_operators
 
 DIVERGENCE_CAP = 1e8
 # Constant pair used to re-seed the iteration when the zero start lands on a
@@ -56,12 +57,18 @@ class SolutionPair:
 
 @dataclass(frozen=True)
 class IterationReport:
-    """Convergence record of one fixed-point run."""
+    """Convergence record of one fixed-point run.
+
+    ``diffs`` holds ||T x - x|| for each sweep's iterate x, and
+    ``accelerated`` whether that x was an Anderson candidate.
+    ``observed_ratio`` is the largest of the last five plain-step ratios.
+    """
 
     iterations: int
     diffs: tuple[float, ...]
     converged: bool
     observed_ratio: float
+    accelerated: tuple[bool, ...]
 
 
 @dataclass(frozen=True)
@@ -97,15 +104,44 @@ def pair_norm(a: SolutionPair) -> float:
     return max(float(np.max(np.abs(a.u.values))), float(np.max(np.abs(a.v.values))))
 
 
-def _rhs_samples(spec: ProblemSpec, pair: SolutionPair) -> np.ndarray:
-    nodes = pair.grid.nodes
+def _rhs_samples(spec: ProblemSpec, nodes: np.ndarray, u: np.ndarray, v: np.ndarray) -> np.ndarray:
     try:
-        return evaluate(spec.rhs, nodes, pair.u.values, pair.v.values)
+        return evaluate(spec.rhs, nodes, u, v)
     except EvaluationError as exc:
         j = exc.index
         raise EvaluationError(
             f"right-hand side failed at node {j} (t={nodes[j]:.6g}): {exc}", j
         ) from exc
+
+
+def _step(
+    spec: ProblemSpec,
+    nodes: np.ndarray,
+    x: np.ndarray,
+    green_w: KernelOperator | np.ndarray,
+    companion_w: KernelOperator | np.ndarray,
+) -> np.ndarray:
+    """T applied to the stacked pair x = (u, v), as the stacked (2n,) image.
+
+    Operators share one forward transform of f.  An image that overflows
+    comes back non-finite, for the caller's norm test to catch.
+    """
+    n = len(nodes)
+    f = _rhs_samples(spec, nodes, x[:n], x[n:])
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _apply_pair(green_w, companion_w, f)
+
+
+def _apply_pair(green_w, companion_w, f: np.ndarray) -> np.ndarray:
+    """(G f, H f) stacked; two operators share one forward transform of f."""
+    if isinstance(green_w, KernelOperator) and isinstance(companion_w, KernelOperator):
+        spectrum = toeplitz_spectrum(f)
+        return np.concatenate((green_w.apply(f, spectrum), companion_w.apply(f, spectrum)))
+    return np.concatenate((green_w @ f, companion_w @ f))
+
+
+def _pair(grid: Grid, x: np.ndarray) -> SolutionPair:
+    return SolutionPair(GridFunction(grid, x[: grid.n]), GridFunction(grid, x[grid.n :]))
 
 
 def apply_T(
@@ -120,56 +156,151 @@ def apply_T(
     pair's grid: anything with ``.shape`` and ``@``, such as the operators
     of greens.green_operator or their dense expansions.
     """
-    n = pair.grid.n
+    grid = pair.grid
+    n = grid.n
     if green_w.shape != (n, n) or companion_w.shape != (n, n):
         raise DomainError("weight matrices do not match the pair's grid")
-    f = _rhs_samples(spec, pair)
-    return SolutionPair(
-        GridFunction(pair.grid, green_w @ f),
-        GridFunction(pair.grid, companion_w @ f),
-    )
+    x = np.concatenate((pair.u.values, pair.v.values))
+    return _pair(grid, _step(spec, grid.nodes, x, green_w, companion_w))
 
 
-def _observed_ratio(diffs: list[float]) -> float:
-    ratios = [
-        diffs[i + 1] / diffs[i] for i in range(len(diffs) - 1) if diffs[i] > 0.0
-    ]
-    if not ratios:
-        return 0.0
-    return max(ratios[-5:])
+# The contraction witness: the last _WITNESS plain-step ratios must each be
+# < 1 and none may exceed the one before by more than the relative slack
+# _RISE (the ratios of a contracting map climb to their limit from below in
+# small steps).  _DEPTH is the number of past steps Anderson's method combines.
+_WITNESS = 3
+_RISE = 0.01
+_DEPTH = 5
+
+
+def _witness(ratios: list[float]) -> float:
+    """The witnessed contraction ratio of a list of plain-step ratios: the
+    largest of the last ``_WITNESS`` when they hold as a witness, else 0."""
+    tail = ratios[-_WITNESS:]
+    holds = len(tail) == _WITNESS and max(tail) < 1.0
+    holds = holds and all(b <= a * (1.0 + _RISE) for a, b in zip(tail, tail[1:]))
+    return max(tail) if holds else 0.0
+
+
+class _Anderson:
+    """Anderson's extrapolation, undamped (Walker & Ni, SIAM J. Numer. Anal.
+    49, 2011), from the accepted iterates of a fixed-point loop.
+
+    Holds the last accepted iterate's image g = T x and residual f = g - x,
+    and the differences dF, dG of up to ``_DEPTH`` consecutive
+    residuals and images, with the Gram matrix of dF grown one row per
+    accepted iterate.  The candidate is g - dG gamma, where gamma minimizes
+    the 2-norm of f - dF gamma; it is solved from the Gram system with dF's
+    rows scaled to unit norm, so a candidate costs O(_DEPTH n) flops.
+    """
+
+    def __init__(self) -> None:
+        self.g = self.f = None
+        self.restart()
+
+    def restart(self) -> None:
+        """Forget the differences; keep the last accepted iterate."""
+        self.df: list[np.ndarray] = []
+        self.dg: list[np.ndarray] = []
+        self.gram = np.zeros((0, 0))
+
+    def accept(self, g: np.ndarray, f: np.ndarray) -> None:
+        """Take the next accepted iterate's image g and residual f."""
+        if self.f is not None:
+            d = f - self.f
+            self.df.append(d)
+            self.dg.append(g - self.g)
+            row = np.array([e @ d for e in self.df])
+            k = len(row)
+            gram = np.empty((k, k))
+            gram[:-1, :-1] = self.gram
+            gram[-1] = gram[:, -1] = row
+            if k > _DEPTH:
+                del self.df[0], self.dg[0]
+                gram = gram[1:, 1:]
+            self.gram = gram
+        self.g, self.f = g, f
+
+    def candidate(self) -> np.ndarray:
+        scale = np.sqrt(np.diag(self.gram))
+        scale[scale == 0.0] = 1.0
+        rhs = np.array([e @ self.f for e in self.df]) / scale
+        y, *_ = np.linalg.lstsq(self.gram / np.outer(scale, scale), rhs, rcond=None)
+        return self.g - (y / scale) @ np.array(self.dg)
 
 
 def _iterate(
     spec: ProblemSpec,
-    start: SolutionPair,
+    grid: Grid,
+    x: np.ndarray,
     green_w: KernelOperator,
     companion_w: KernelOperator,
     tol: float,
     max_iter: int,
 ) -> tuple[SolutionPair, IterationReport]:
-    pair = start
+    """The fixed-point loop of :func:`picard_solve`, from the stacked pair x.
+
+    Every sweep evaluates T at one iterate x and records ||T x - x||.  A
+    candidate whose right-hand side cannot be evaluated, or whose image is
+    not below the norm cap, is rejected like one whose step is too large,
+    and is not recorded as a sweep: those errors are raised for plain
+    iterates only.
+    """
+    nodes = grid.nodes
     diffs: list[float] = []
-    for it in range(1, max_iter + 1):
-        nxt = apply_T(spec, pair, green_w, companion_w)
-        diffs.append(pair_distance(nxt, pair))
-        pair = nxt
-        norm = pair_norm(pair)
-        if norm > DIVERGENCE_CAP:
+    accelerated: list[bool] = []
+    ratios: list[float] = []  # plain-step ratios only
+    history = _Anderson()
+    witness = 0.0  # the witnessed ratio; 0 until the witness holds
+    last = None  # step of the last accepted iterate
+    candidate = False
+    while len(diffs) < max_iter:
+        try:
+            gx = _step(spec, nodes, x, green_w, companion_w)
+            norm = float(np.max(np.abs(gx)))
+        except EvaluationError:
+            if not candidate:
+                raise
+            norm = math.nan
+        # not <=, so that a nan image counts as divergent
+        accept = norm <= DIVERGENCE_CAP
+        if not (accept or candidate):
+            it = len(diffs) + 1
             raise DivergenceError(
-                f"iterates exceeded norm {DIVERGENCE_CAP:g} at iteration {it}; "
+                f"iterate norm {norm:.3g} is not below {DIVERGENCE_CAP:g} at iteration {it}; "
                 "the contraction condition likely fails",
                 it,
                 norm,
             )
-        if diffs[-1] <= tol:
-            report = IterationReport(it, tuple(diffs), True, _observed_ratio(diffs))
-            return pair, report
+        if accept:
+            step = gx - x
+            diff = float(np.max(np.abs(step)))
+            diffs.append(diff)
+            accelerated.append(candidate)
+            if diff <= tol:
+                ratio = max(ratios[-5:], default=0.0)
+                report = IterationReport(len(diffs), tuple(diffs), True, ratio, tuple(accelerated))
+                return _pair(grid, gx), report
+            accept = not candidate or diff <= witness * last
+        if not accept:
+            # the plain step from the last accepted iterate, which the
+            # history restarts from
+            x, candidate = history.g, False
+            history.restart()
+            continue
+        if not candidate and last is not None:
+            ratios.append(diff / last)
+            witness = _witness(ratios)
+        history.accept(gx, step)
+        last = diff
+        candidate = witness > 0.0 and len(history.df) > 0
+        x = history.candidate() if candidate else gx
     raise DivergenceError(
         f"no convergence within {max_iter} iterations "
         f"(last step {diffs[-1]:.3g} > tol {tol:.3g}); "
         "the contraction condition likely fails",
         max_iter,
-        pair_norm(pair),
+        norm,
     )
 
 
@@ -181,6 +312,21 @@ def picard_solve(
 ) -> tuple[SolutionPair, IterationReport]:
     """Iterate the integral operator from the zero pair until steps fall
     below tol in the pair norm.
+
+    The iteration is Picard's, accelerated by Anderson's method (depth 5)
+    once a contraction witness holds: the last three plain-step ratios
+    ||T^2 x - T x|| / ||T x - x|| are each < 1 and none exceeds the one
+    before by more than 1%.  Until then every step is a plain T step, so an
+    expanding map still runs into the norm cap or max_iter.  An Anderson
+    candidate is kept only when its step ||T x - x|| is at most the
+    witnessed ratio times the previous iterate's; otherwise the loop takes
+    the plain step instead and restarts the history.  Convergence is
+    tested on T images only: the returned pair is T x for an iterate x with
+    ||T x - x|| <= tol.  ``report.accelerated`` flags the sweeps whose
+    iterate was an Anderson candidate, and ``report.observed_ratio`` is
+    the largest of the last five plain-step ratios, which come from the
+    witness steps and from the plain steps taken after a rejected
+    candidate; candidates never enter it.
 
     A first step of exactly zero means the zero pair is itself a fixed point
     of the discrete map (f vanishes along it).  That alone does not certify
@@ -194,8 +340,9 @@ def picard_solve(
     once (:func:`expr.fold_invariants`), so each sweep evaluates only the
     part of f that changes.
 
-    Raises :class:`DivergenceError` when iterates grow past the norm cap or
-    max_iter is exhausted without contraction.
+    Raises :class:`DivergenceError` when a plain iterate's norm is not below
+    the norm cap (a nan iterate included) or max_iter sweeps pass without
+    convergence.
     """
     if n < 33:
         raise DomainError(f"solver grid needs n >= 33, got {n}")
@@ -204,25 +351,20 @@ def picard_solve(
     if max_iter < 1:
         raise DomainError(f"max_iter must be >= 1, got {max_iter}")
     grid = Grid(n)
-    green_w = green_operator(spec.params, grid)
-    companion_w = companion_operator(spec.params, grid)
+    green_w, companion_w = kernel_operators(spec.params, grid)
     spec = ProblemSpec(spec.params, fold_invariants(spec.rhs, grid.nodes))
-    pair, report = _iterate(spec, zero_pair(grid), green_w, companion_w, tol, max_iter)
+    pair, report = _iterate(spec, grid, np.zeros(2 * n), green_w, companion_w, tol, max_iter)
     if report.iterations == 1:
-        seed = SolutionPair(
-            GridFunction(grid, np.full(n, _PROBE_SEED)),
-            GridFunction(grid, np.full(n, _PROBE_SEED)),
-        )
-        pair, report = _iterate(spec, seed, green_w, companion_w, tol, max_iter)
+        seed = np.full(2 * n, _PROBE_SEED)
+        pair, report = _iterate(spec, grid, seed, green_w, companion_w, tol, max_iter)
     return pair, report
 
 
 def linear_solve(params: ProblemParams, y: GridFunction) -> SolutionPair:
     """Solve the linear problem D^alpha u = y by one weight application."""
     grid = y.grid
-    u = green_operator(params, grid) @ y.values
-    v = companion_operator(params, grid) @ y.values
-    return SolutionPair(GridFunction(grid, u), GridFunction(grid, v))
+    green_w, companion_w = kernel_operators(params, grid)
+    return _pair(grid, _apply_pair(green_w, companion_w, y.values))
 
 
 def _grid_derivative(values: np.ndarray, h: float) -> np.ndarray:
@@ -259,7 +401,7 @@ def residual(spec: ProblemSpec, pair: SolutionPair) -> ResidualReport:
         d_alpha[1:-1] = (u[2:] - 2.0 * u[1:-1] + u[:-2]) / (h * h)
         d_reduced = du
 
-    f = _rhs_samples(spec, pair)
+    f = _rhs_samples(spec, grid.nodes, u, v)
     differential = float(np.max(np.abs(d_alpha[1:-1] - f[1:-1])))
 
     boundary_value = abs(float(u[0]) - xi * float(u[-1]))

@@ -112,6 +112,7 @@ def test_solve_writes_solution_and_report(tmp_path):
         "consistency_defect",
     ):
         assert key in report
+    assert len(report["diffs"]) == len(report["accelerated"]) == report["iterations"]
     assert report["differential_residual"] <= 5e-3
 
 
@@ -131,6 +132,16 @@ def test_solve_deterministic_output(tmp_path):
     out1, out2 = tmp_path / "a", tmp_path / "b"
     assert main(["solve", "--config", cfg, "--out", str(out1)]) == 0
     assert main(["solve", "--config", cfg, "--out", str(out2)]) == 0
+    assert (out1 / "solution.csv").read_bytes() == (out2 / "solution.csv").read_bytes()
+
+
+def test_accelerated_solve_output_is_byte_identical_across_runs(tmp_path):
+    text = "alpha = 1.5\nbeta = 0.5\nxi = 0.5\nrhs = 2.5*u + 0.05*sin(v) + cos(3*t)\n"
+    cfg = write_config(tmp_path, text + "tol = 1e-10\n")
+    out1, out2 = tmp_path / "a", tmp_path / "b"
+    assert main(["solve", "--config", cfg, "--out", str(out1)]) == 0
+    assert main(["solve", "--config", cfg, "--out", str(out2)]) == 0
+    assert any(json.loads((out1 / "report.json").read_text())["accelerated"])
     assert (out1 / "solution.csv").read_bytes() == (out2 / "solution.csv").read_bytes()
 
 

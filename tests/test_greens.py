@@ -29,7 +29,12 @@ from fracbvp import (
     picard_solve,
 )
 from fracbvp.fracops import left_kernel_toeplitz, right_kernel_moments
-from fracbvp.greens import green_abs_mass, green_branch_value, green_sign_change
+from fracbvp.greens import (
+    green_abs_mass,
+    green_branch_value,
+    green_sign_change,
+    kernel_operators,
+)
 
 from conftest import left_moments_row, oracle_gstar, oracle_sign_change
 
@@ -178,9 +183,9 @@ def test_weight_matrices_match_rows(example_params):
 
 
 def test_green_operator_reads_right_moments_off_its_toeplitz_data(monkeypatch):
-    # A solve builds left_kernel_toeplitz three times: order alpha for G's
+    # A solve builds left_kernel_toeplitz twice: order alpha for G's
     # Toeplitz part, which also gives its (1-s)^(alpha-1) moments, and order
-    # alpha - beta once for G and once for H.
+    # alpha - beta once, shared by G and H.
     calls = []
     real = fracbvp.fracops.left_kernel_toeplitz
 
@@ -192,7 +197,7 @@ def test_green_operator_reads_right_moments_off_its_toeplitz_data(monkeypatch):
     monkeypatch.setattr(fracbvp.fracops, "left_kernel_toeplitz", counting)
     p = ProblemParams(1.5, 0.5, 0.5)
     picard_solve(ProblemSpec(p, parse("0.1*u + sin(t)")), 129, tol=1e-10)
-    assert calls == [1.5, 1.0, 1.0]
+    assert calls == [1.5, 1.0]
     monkeypatch.undo()
     rng = np.random.default_rng(3)
     for n in (2, 3, 129, 2049):
@@ -214,6 +219,21 @@ def test_green_operator_reads_right_moments_off_its_toeplitz_data(monkeypatch):
             assert np.array_equal(got.dense(), parent.dense())
             for (gl, gr), (pl, pr) in zip(got.factors, parent.factors):
                 assert np.array_equal(gl, pl) and np.array_equal(gr, pr)
+
+
+@pytest.mark.parametrize("n", [2, 3, 129, 2049])
+def test_kernel_operators_match_separate_builds(n):
+    rng = np.random.default_rng(5)
+    g = Grid(n)
+    for q in [ProblemParams(1.5, 0.5, 0.5), ProblemParams(2.0, 0.5, 0.5)] + [
+        _random_params(rng) for _ in range(3)
+    ]:
+        for got, want in zip(kernel_operators(q, g), (green_operator(q, g), companion_operator(q, g))):
+            assert np.array_equal(got.column, want.column)
+            assert np.array_equal(got.first, want.first)
+            assert len(got.factors) == len(want.factors)
+            for (gl, gr), (wl, wr) in zip(got.factors, want.factors):
+                assert np.array_equal(gl, wl) and np.array_equal(gr, wr)
 
 
 @st.composite

@@ -4,6 +4,8 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fracbvp import (
     DivergenceError,
@@ -21,7 +23,14 @@ from fracbvp import (
     residual,
 )
 from fracbvp.errors import EvaluationError
-from fracbvp.greens import companion_weight_matrix, green_weight_matrix
+from fracbvp import solver
+from fracbvp.greens import (
+    companion_operator,
+    companion_weight_matrix,
+    green_operator,
+    green_weight_matrix,
+    kernel_operators,
+)
 from fracbvp.solver import apply_T, pair_distance, pair_norm, zero_pair
 
 EXAMPLE_D = 4.0 / 11.0  # contraction constant of the worked example
@@ -202,6 +211,8 @@ def test_iteration_report_fields(example_solution):
     assert len(report.diffs) == report.iterations
     assert all(d >= 0.0 for d in report.diffs)
     assert isinstance(report.diffs, tuple)
+    assert isinstance(report.accelerated, tuple)
+    assert len(report.accelerated) == report.iterations
 
 
 # the three solve templates of perfbench/gen.py at sample coefficients,
@@ -249,3 +260,154 @@ def test_picard_sweeps_walk_unmasked_and_fold_t_terms_once(example_params, src, 
     # once, when picard_solve folds them; never again in a sweep
     free = _state_free_nodes(spec.rhs)
     assert free and all(counts[node] == 1 for node in free), src
+
+
+@pytest.mark.parametrize("n", [129, 513, 8193])
+def test_shared_transform_matches_separate_matmuls(example_params, n):
+    g = Grid(n)
+    y = GridFunction(g, np.cos(3.0 * g.nodes) + np.sqrt(g.nodes) - 0.3)
+    pair = linear_solve(example_params, y)
+    assert np.array_equal(pair.u.values, green_operator(example_params, g) @ y.values)
+    assert np.array_equal(pair.v.values, companion_operator(example_params, g) @ y.values)
+
+
+def test_a_sweep_transforms_f_once(example_spec, monkeypatch):
+    # two forward transforms build the operators' spectra, then one per sweep
+    calls = []
+    rfft = np.fft.rfft
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return rfft(*args, **kwargs)
+
+    monkeypatch.setattr(np.fft, "rfft", counting)
+    _, report = picard_solve(example_spec, 513, tol=1e-10)
+    assert len(calls) == 2 + report.iterations
+
+
+def test_non_finite_iterate_raises_divergence(example_params):
+    # f = 1e308 overflows the transform, so the first image is nan
+    with pytest.raises(DivergenceError) as info:
+        picard_solve(ProblemSpec(example_params, parse("1e308")), 129)
+    assert info.value.iterations == 1
+    assert np.isnan(info.value.last_norm)
+
+
+# The acceleration's guard cases, at the example's (alpha, beta, xi): the
+# plain ratios settle near 0.33 |c|, so c = 2.5 contracts (ratio 0.83) and
+# |c| >= 4 expands.
+GUARD_RHS = "{c}*u + 0.05*sin(v) + cos(3*t)"
+
+
+def plain_picard(spec, n, tol):
+    """Plain fixed-point iteration by apply_T, from the zero pair."""
+    g = Grid(n)
+    gw, hw = green_operator(spec.params, g), companion_operator(spec.params, g)
+    pair = zero_pair(g)
+    for _ in range(5000):
+        nxt = apply_T(spec, pair, gw, hw)
+        step = pair_distance(nxt, pair)
+        pair = nxt
+        if step <= tol:
+            return pair
+    raise AssertionError("plain iteration did not converge")
+
+
+@pytest.mark.parametrize(
+    "ratios, want",
+    [
+        ([0.5, 0.4], 0.0),  # too few
+        ([1.2, 0.7, 0.6, 0.5], 0.7),  # only the last three count
+        ([0.6, 0.605, 0.606], 0.606),  # climbing within 1%: the largest
+        ([0.5, 0.6, 0.61], 0.0),  # climbing by 20%
+        ([0.995, 1.004, 1.005], 0.0),  # within 1%, but not below 1
+        ([0.3, 0.2, 1.0], 0.0),
+    ],
+)
+def test_witness(ratios, want):
+    assert solver._witness(ratios) == want
+
+
+@pytest.mark.parametrize("c", [4, -4, 5, -5, -10])
+def test_expanding_maps_still_diverge(example_params, c):
+    spec = ProblemSpec(example_params, parse(GUARD_RHS.format(c=c)))
+    with pytest.raises(DivergenceError):
+        picard_solve(spec, 513, tol=1e-10)
+
+
+def test_slow_contraction_is_accelerated(example_params):
+    spec = ProblemSpec(example_params, parse(GUARD_RHS.format(c=2.5)))
+    pair, report = picard_solve(spec, 513, tol=1e-10)
+    assert report.iterations <= 15
+    assert any(report.accelerated) and not report.accelerated[0]
+    assert 0.8 <= report.observed_ratio < 1.0
+    g = pair.grid
+    gw, hw = kernel_operators(example_params, g)
+    assert pair_distance(pair, apply_T(spec, pair, gw, hw)) <= 1e-10
+
+
+def test_rejected_candidates_leave_the_plain_trajectory(example_params, monkeypatch):
+    # A candidate equal to the last accepted iterate never shrinks its step,
+    # so each is rejected and the accepted iterates are the plain ones.
+    spec = ProblemSpec(example_params, parse(GUARD_RHS.format(c=1.5)))
+    plain = plain_picard(spec, 513, 1e-10)
+    monkeypatch.setattr(solver._Anderson, "candidate", lambda self: self.g - self.f)
+    pair, report = picard_solve(spec, 513, tol=1e-10)
+    assert np.array_equal(pair.u.values, plain.u.values)
+    assert np.array_equal(pair.v.values, plain.v.values)
+    flags = report.accelerated
+    assert any(flags) and not any(a and b for a, b in zip(flags, flags[1:]))
+
+
+@pytest.mark.parametrize("bad", [np.inf, -1e30, 1e300])
+def test_candidates_that_fail_are_rejected(example_params, monkeypatch, bad):
+    # -1e30 fails ln's domain check, inf is a non-finite input, and 1e300
+    # gives an image past the norm cap
+    spec = ProblemSpec(example_params, parse("1.5*u + 0.1*ln(3 + u) + cos(3*t)"))
+    want, _ = picard_solve(spec, 513, tol=1e-10)
+    monkeypatch.setattr(solver._Anderson, "candidate", lambda self: np.full_like(self.g, bad))
+    pair, report = picard_solve(spec, 513, tol=1e-10)
+    assert report.converged
+    assert pair_distance(pair, want) <= 1e-8
+    # failed candidates are not sweeps: every recorded sweep is plain
+    assert len(report.diffs) == report.iterations and not any(report.accelerated)
+
+
+def test_near_critical_contraction_is_accepted(example_params):
+    # At c = 3 the plain ratios start at 1.07 and settle at 0.992: the map
+    # contracts, so the witness holds, but Picard needs about 2600 sweeps.
+    # The accelerated solve lands on Picard's fixed point.
+    spec = ProblemSpec(example_params, parse(GUARD_RHS.format(c=3)))
+    pair, report = picard_solve(spec, 513, tol=1e-10)
+    assert report.iterations <= 15
+    ref = plain_picard(spec, 513, 1e-12)
+    assert pair_distance(pair, ref) <= 1e-7 * max(1.0, pair_norm(ref))
+
+
+# the perfbench solve box: alpha 1.3-1.9, beta 0.1-0.6, xi 0.2-0.6
+@settings(max_examples=25, deadline=None)
+@given(
+    alpha=st.floats(1.3, 1.9),
+    beta=st.floats(0.1, 0.6),
+    xi=st.floats(0.2, 0.6),
+    q=st.floats(0.05, 0.75),
+    share=st.floats(0.0, 0.9),
+    sign=st.sampled_from([-1.0, 1.0]),
+    w=st.floats(0.5, 4.0),
+)
+def test_accelerated_solve_matches_plain_picard(alpha, beta, xi, q, share, sign, w):
+    params = ProblemParams(alpha, beta, xi)
+    g = Grid(513)
+    # L bounds the discrete map's gain: max row sums of |weights|, so
+    # a*u + b*sin(v) with |a| + |b| = q/L contracts with constant <= q
+    lip = max(np.max(np.sum(np.abs(m(params, g)), axis=1))
+              for m in (green_weight_matrix, companion_weight_matrix))
+    a, b = float(sign * (1.0 - share) * q / lip), float(share * q / lip)
+    spec = ProblemSpec(params, parse(f"{a!r}*u + {b!r}*sin(v) + cos({w!r}*t) - t"))
+    pair, report = picard_solve(spec, 513, tol=1e-10)
+    ref = plain_picard(spec, 513, 1e-13)
+    scale = max(1.0, pair_norm(ref))
+    assert pair_distance(pair, ref) <= 1e-8 * scale
+    gw, hw = kernel_operators(params, g)
+    assert pair_distance(pair, apply_T(spec, pair, gw, hw)) <= 1e-10
+    assert len(report.accelerated) == report.iterations
