@@ -12,15 +12,15 @@ companion-kernel envelope
 
 Existence needs only a growth bound |f(t, u, v)| <= p_star psi(r) on pairs of
 norm r: any radius r with r >= max(gstar, theta) p_star psi(r) supports a
-fixed point.  psi is restricted to constant and affine shapes, for which the
-smallest such radius has a closed form.
+fixed point.  psi is affine, psi(r) = a + b r, with b = 0 the constant case;
+for it the smallest such radius has a closed form.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Optional
 
 from .errors import DomainError
 from .expr import lipschitz_estimate
@@ -30,31 +30,17 @@ from .solver import ProblemSpec
 
 
 @dataclass(frozen=True)
-class ConstantPsi:
-    """Growth envelope psi(r) = c."""
-
-    c: float
-
-    def __post_init__(self) -> None:
-        if not (math.isfinite(self.c) and self.c > 0.0):
-            raise DomainError(f"constant envelope needs c > 0, got {self.c!r}")
-
-
-@dataclass(frozen=True)
 class AffinePsi:
-    """Growth envelope psi(r) = a + b r."""
+    """Growth envelope psi(r) = a + b r; the default b = 0 is the constant case."""
 
     a: float
-    b: float
+    b: float = 0.0
 
     def __post_init__(self) -> None:
         if not (math.isfinite(self.a) and self.a > 0.0):
-            raise DomainError(f"affine envelope needs a > 0, got {self.a!r}")
+            raise DomainError(f"growth envelope needs a > 0, got {self.a!r}")
         if not (math.isfinite(self.b) and self.b >= 0.0):
-            raise DomainError(f"affine envelope needs b >= 0, got {self.b!r}")
-
-
-Psi = Union[ConstantPsi, AffinePsi]
+            raise DomainError(f"growth envelope needs b >= 0, got {self.b!r}")
 
 
 @dataclass(frozen=True)
@@ -62,7 +48,7 @@ class GrowthSpec:
     """Growth condition |f(t, u, v)| <= p_star * psi(max(|u|, |v|))."""
 
     p_star: float
-    psi: Psi
+    psi: AffinePsi
 
     def __post_init__(self) -> None:
         if not (math.isfinite(self.p_star) and self.p_star >= 0.0):
@@ -130,8 +116,6 @@ def existence_radius(
         raise DomainError(f"gstar must be >= 0, got {gstar_value!r}")
     m = max(gstar_value, theta(params))
     p = growth.p_star
-    if isinstance(growth.psi, ConstantPsi):
-        return p * growth.psi.c * m
     slope = p * growth.psi.b * m
     if slope >= 1.0:
         return None

@@ -19,7 +19,7 @@ from typing import Optional
 
 import numpy as np
 
-from .certify import AffinePsi, Certificate, ConstantPsi, GrowthSpec, certify, theta
+from .certify import AffinePsi, Certificate, GrowthSpec, certify, theta
 from .errors import (
     ConfigError,
     DivergenceError,
@@ -72,8 +72,7 @@ class Config:
     tol: float = 1e-8
     max_iter: int = 200
     k: Optional[float] = None
-    p_star: Optional[float] = None
-    psi: Optional[ConstantPsi | AffinePsi] = None
+    growth: Optional[GrowthSpec] = None
     output_dir: str = "."
 
 
@@ -161,7 +160,7 @@ def parse_config(path: str) -> Config:
     if k is not None and k < 0.0:
         raise ConfigError(f"{path}: k must be >= 0, got {k}")
 
-    psi: Optional[ConstantPsi | AffinePsi] = None
+    psi: Optional[AffinePsi] = None
     if "psi_kind" in raw:
         kind = raw["psi_kind"].lower()
         if kind == "constant":
@@ -170,7 +169,7 @@ def parse_config(path: str) -> Config:
             if "psi_b" in raw:
                 raise ConfigError(f"{path}: psi_b applies only to psi_kind=affine")
             try:
-                psi = ConstantPsi(_parse_float("psi_a", raw["psi_a"]))
+                psi = AffinePsi(_parse_float("psi_a", raw["psi_a"]))
             except DomainError as exc:
                 raise ConfigError(f"{path}: {exc}") from exc
         elif kind == "affine":
@@ -193,6 +192,7 @@ def parse_config(path: str) -> Config:
         raise ConfigError(f"{path}: p_star must be >= 0, got {p_star}")
     if (psi is None) != (p_star is None):
         raise ConfigError(f"{path}: growth condition needs both psi_kind and p_star")
+    growth = GrowthSpec(p_star, psi) if psi is not None else None
 
     return Config(
         params=params,
@@ -202,8 +202,7 @@ def parse_config(path: str) -> Config:
         tol=tol,
         max_iter=max_iter,
         k=k,
-        p_star=p_star,
-        psi=psi,
+        growth=growth,
         output_dir=raw.get("output_dir", "."),
     )
 
@@ -245,13 +244,7 @@ def _bool_text(flag: bool) -> str:
 
 def cmd_solve(config: Config, out_dir: str) -> int:
     spec = ProblemSpec(config.params, config.rhs)
-    try:
-        pair, report = picard_solve(
-            spec, config.grid_n, tol=config.tol, max_iter=config.max_iter
-        )
-    except DivergenceError as exc:
-        print(f"divergence: {exc}", file=sys.stderr)
-        return 3
+    pair, report = picard_solve(spec, config.grid_n, tol=config.tol, max_iter=config.max_iter)
     res = residual(spec, pair)
 
     os.makedirs(out_dir, exist_ok=True)
@@ -307,10 +300,7 @@ def _is_example_params(params: ProblemParams) -> bool:
 
 def cmd_certify(config: Config, out_dir: Optional[str]) -> int:
     spec = ProblemSpec(config.params, config.rhs)
-    growth = None
-    if config.psi is not None and config.p_star is not None:
-        growth = GrowthSpec(config.p_star, config.psi)
-    cert = certify(spec, k=config.k, growth=growth)
+    cert = certify(spec, k=config.k, growth=config.growth)
     lines = _certificate_lines(cert)
     if _is_example_params(config.params):
         # reproduction path for the worked example's published figure

@@ -61,12 +61,6 @@ class Grid:
     def nodes(self) -> np.ndarray:
         return self._nodes  # type: ignore[attr-defined]
 
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, Grid) and other.n == self.n
-
-    def __hash__(self) -> int:
-        return hash(("Grid", self.n))
-
 
 @dataclass(frozen=True, eq=False)
 class GridFunction:
@@ -191,20 +185,6 @@ def lower_toeplitz_apply(
     out = np.fft.irfft(spectrum * x_spectrum, size)[:n]
     out[0] = column[0] * x[0]
     return out
-
-
-def right_kernel_moments(mu: float, grid: Grid) -> np.ndarray:
-    """Exact moments of the right singular kernel against the hat basis:
-
-        w_j = integral_0^1 (1 - s)^(mu-1) phi_j(s) ds,
-
-    the t = 1 row of the left-kernel moments of order mu.  Finite for every
-    mu > 0, including the weakly singular range mu < 1.
-    """
-    column, first = left_kernel_toeplitz(mu, grid)
-    w = column[::-1].copy()
-    w[0] = first[-1]
-    return w
 
 
 def caputo_grid(gamma_ord: float, u: GridFunction) -> GridFunction:

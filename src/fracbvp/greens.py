@@ -281,48 +281,35 @@ def companion_eval(p: ProblemParams, t: float, s: float) -> float:
     return _eval(_companion_terms(p), "companion kernel", t, s)
 
 
-def green_operator(p: ProblemParams, grid: Grid) -> KernelOperator:
-    """Exact hat-function moments of G(t_i, .) for every grid node t_i.
-
-    Every term of the kernel has a closed-form moment, so applying the
-    weights to samples of y reproduces integral_0^1 G(t_i, s) y(s) ds exactly
-    whenever y is piecewise linear on the grid.  Weights are finite even when
-    the kernel itself is unbounded at s = 1.  The left term gives the Toeplitz
-    part; the two (1-s) terms give a rank-2 update.
-    """
-    return _operator(_green_terms(p), grid, {})
-
-
-def companion_operator(p: ProblemParams, grid: Grid) -> KernelOperator:
-    """Exact hat-function moments of H(t_i, .) for every grid node t_i.
-
-    The indicator term is the trapezoid rule on [0, t_i]: Toeplitz column
-    [h/2, h, h, ...] with column 0 equal to h/2 below row 0.  At t_0 = 0 with
-    alpha < 2 the row is identically zero, matching D^(alpha-1) u(0) = 0 for
-    every forcing.  The (1-s) term gives a rank-1 update.
-    """
-    return _operator(_companion_terms(p), grid, {})
-
-
 def kernel_operators(p: ProblemParams, grid: Grid) -> tuple[KernelOperator, KernelOperator]:
-    """:func:`green_operator` and :func:`companion_operator` from one build.
+    """Exact hat-function moments of G(t_i, .) and H(t_i, .) at every grid node t_i.
 
-    Both kernels have a (1-s)^(alpha-beta-1) term, so the Toeplitz data of
-    order alpha - beta is built once and shared; the operators are the same
-    as the two functions return.
+    Every term of both kernels has a closed-form moment, so applying the
+    weights to samples of y reproduces integral_0^1 G(t_i, s) y(s) ds and
+    integral_0^1 H(t_i, s) y(s) ds exactly whenever y is piecewise linear on
+    the grid.  Weights are finite even where the kernels are unbounded at
+    s = 1.
+
+    For G, the left term gives the Toeplitz part and the two (1-s) terms a
+    rank-2 update.  For H, the indicator term is the trapezoid rule on
+    [0, t_i]: Toeplitz column [h/2, h, h, ...] with column 0 equal to h/2
+    below row 0.  At t_0 = 0 with alpha < 2 H's row is identically zero,
+    matching D^(alpha-1) u(0) = 0 for every forcing; its (1-s) term gives a
+    rank-1 update.  Both kernels have a (1-s)^(alpha-beta-1) term, so the
+    Toeplitz data of order alpha - beta is built once and shared.
     """
     built: dict = {}
     return _operator(_green_terms(p), grid, built), _operator(_companion_terms(p), grid, built)
 
 
 def green_weight_matrix(p: ProblemParams, grid: Grid) -> np.ndarray:
-    """Dense n x n expansion of :func:`green_operator`; a small-n reference."""
-    return green_operator(p, grid).dense()
+    """Dense n x n expansion of G's :func:`kernel_operators` weights; a small-n reference."""
+    return _operator(_green_terms(p), grid, {}).dense()
 
 
 def companion_weight_matrix(p: ProblemParams, grid: Grid) -> np.ndarray:
-    """Dense n x n expansion of :func:`companion_operator`; a small-n reference."""
-    return companion_operator(p, grid).dense()
+    """Dense n x n expansion of H's :func:`kernel_operators` weights; a small-n reference."""
+    return _operator(_companion_terms(p), grid, {}).dense()
 
 
 def gstar_coarse_bound(p: ProblemParams) -> float:

@@ -61,7 +61,8 @@ class IterationReport:
 
     ``diffs`` holds ||T x - x|| for each sweep's iterate x, and
     ``accelerated`` whether that x was an Anderson candidate.
-    ``observed_ratio`` is the largest of the last five plain-step ratios.
+    ``observed_ratio`` is the largest of the last three plain-step ratios,
+    the window the contraction witness judges.
     """
 
     iterations: int
@@ -154,7 +155,7 @@ def apply_T(
 
     ``green_w`` and ``companion_w`` are the precomputed weights for the
     pair's grid: anything with ``.shape`` and ``@``, such as the operators
-    of greens.green_operator or their dense expansions.
+    of greens.kernel_operators or their dense expansions.
     """
     grid = pair.grid
     n = grid.n
@@ -278,7 +279,7 @@ def _iterate(
             diffs.append(diff)
             accelerated.append(candidate)
             if diff <= tol:
-                ratio = max(ratios[-5:], default=0.0)
+                ratio = max(ratios[-_WITNESS:], default=0.0)
                 report = IterationReport(len(diffs), tuple(diffs), True, ratio, tuple(accelerated))
                 return _pair(grid, gx), report
             accept = not candidate or diff <= witness * last
@@ -324,7 +325,7 @@ def picard_solve(
     tested on T images only: the returned pair is T x for an iterate x with
     ||T x - x|| <= tol.  ``report.accelerated`` flags the sweeps whose
     iterate was an Anderson candidate, and ``report.observed_ratio`` is
-    the largest of the last five plain-step ratios, which come from the
+    the largest of the last three plain-step ratios, which come from the
     witness steps and from the plain steps taken after a rejected
     candidate; candidates never enter it.
 

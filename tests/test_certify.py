@@ -5,7 +5,6 @@ import pytest
 
 from fracbvp import (
     AffinePsi,
-    ConstantPsi,
     DomainError,
     GrowthSpec,
     ProblemParams,
@@ -58,27 +57,24 @@ def test_contraction_constant_domain(example_params):
 
 def test_growth_spec_validation():
     with pytest.raises(DomainError):
-        ConstantPsi(0.0)
+        AffinePsi(0.0)
     with pytest.raises(DomainError):
         AffinePsi(0.0, 1.0)
     with pytest.raises(DomainError):
         AffinePsi(1.0, -0.5)
     with pytest.raises(DomainError):
-        GrowthSpec(-1.0, ConstantPsi(1.0))
+        GrowthSpec(-1.0, AffinePsi(1.0))
 
 
 def test_existence_radius_closed_forms(example_params):
-    # constant growth: r = p* c max(G*, theta)
-    r = existence_radius(example_params, GrowthSpec(1.0, ConstantPsi(1.0)), 3.1601)
-    assert r == pytest.approx(3.1601, abs=1e-12)
-    # affine with b = 0 coincides with the constant family
-    r = existence_radius(example_params, GrowthSpec(1.0, AffinePsi(1.0, 0.0)), 3.1601)
+    # constant growth (b = 0): r = p* a max(G*, theta)
+    r = existence_radius(example_params, GrowthSpec(1.0, AffinePsi(1.0)), 3.1601)
     assert r == pytest.approx(3.1601, abs=1e-12)
     # no finite radius once p* b max(G*, theta) reaches 1
     r = existence_radius(example_params, GrowthSpec(1.0, AffinePsi(1.0, 1.0)), 3.1601)
     assert r is None
     # with the computed bound the theta term dominates the max
-    r = existence_radius(example_params, GrowthSpec(1.0, ConstantPsi(1.0)), 0.5527021926126314)
+    r = existence_radius(example_params, GrowthSpec(1.0, AffinePsi(1.0)), 0.5527021926126314)
     assert r == pytest.approx(2.0, abs=1e-12)
 
 
@@ -115,7 +111,7 @@ def test_certify_estimates_k_when_missing(example_spec):
 
 def test_certify_growth_flags(example_spec):
     with_growth = certify(
-        example_spec, k=EXAMPLE_K, growth=GrowthSpec(1.0, ConstantPsi(1.0)), n=513, m=33
+        example_spec, k=EXAMPLE_K, growth=GrowthSpec(1.0, AffinePsi(1.0)), n=513, m=33
     )
     assert with_growth.exists
     assert with_growth.r == pytest.approx(2.0, abs=1e-9)

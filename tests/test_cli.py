@@ -7,7 +7,7 @@ import sys
 import numpy as np
 import pytest
 
-from fracbvp import ConfigError, cli
+from fracbvp import AffinePsi, ConfigError, GrowthSpec, cli
 from fracbvp.cli import main, parse_config
 
 from conftest import oracle_solution_csv
@@ -45,7 +45,7 @@ def test_parse_config_example(tmp_path):
     assert cfg.tol == 1e-10
     assert cfg.max_iter == 200  # default
     assert cfg.k == pytest.approx(1.0 / 11.0)
-    assert cfg.psi is None and cfg.p_star is None
+    assert cfg.growth is None
     assert cfg.output_dir == "."
 
 
@@ -67,8 +67,10 @@ def test_parse_config_comments_and_spacing(tmp_path):
 def test_parse_config_growth_block(tmp_path):
     text = EXAMPLE_LINES + "psi_kind = affine\npsi_a = 1.0\npsi_b = 0.25\np_star = 2.0\n"
     cfg = parse_config(write_config(tmp_path, text))
-    assert cfg.p_star == 2.0
-    assert cfg.psi is not None
+    assert cfg.growth == GrowthSpec(2.0, AffinePsi(1.0, 0.25))
+    text = EXAMPLE_LINES + "psi_kind = constant\npsi_a = 1.5\np_star = 2.0\n"
+    cfg = parse_config(write_config(tmp_path, text))
+    assert cfg.growth == GrowthSpec(2.0, AffinePsi(1.5))
 
 
 def test_parse_config_errors(tmp_path):

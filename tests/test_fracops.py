@@ -13,15 +13,13 @@ from fracbvp import (
     ProblemParams,
     caputo_grid,
     caputo_monomial,
-    companion_operator,
     frac_integral_monomial,
     gamma,
-    green_operator,
+    kernel_operators,
 )
 from fracbvp.fracops import (
     left_kernel_toeplitz,
     lower_toeplitz_apply,
-    right_kernel_moments,
     toeplitz_spectrum,
 )
 
@@ -89,6 +87,11 @@ def test_grid_construction():
     assert len(g.nodes) == 5
     with pytest.raises(DomainError):
         Grid(1)
+
+
+def test_grid_equality_and_hash_follow_n():
+    assert Grid(5) == Grid(5) and hash(Grid(5)) == hash(Grid(5))
+    assert Grid(5) != Grid(6)
 
 
 def test_grid_function_validation():
@@ -201,14 +204,14 @@ def test_right_kernel_moments_total_mass():
     # weights against f = 1 give integral_0^1 (1-s)^{mu-1} ds = 1/mu
     g = Grid(65)
     for mu in (0.5, 1.0, 2.0):
-        w = right_kernel_moments(mu, g)
+        w = left_moments_row(mu, g, g.n - 1)  # the t = 1 row: (1-s)^(mu-1)
         assert abs(w.sum() - 1.0 / mu) <= 1e-14
 
 
 def test_indicator_moments_trapezoid():
     # the indicator part of the companion operator is the trapezoid rule
     g = Grid(9)
-    h = companion_operator(ProblemParams(1.5, 0.5, 0.5), g)
+    h = kernel_operators(ProblemParams(1.5, 0.5, 0.5), g)[1]
     rows = KernelOperator(h.column, h.first, ()).dense()
     w = rows[4]
     assert abs(w.sum() - g.nodes[4]) <= 1e-15
@@ -230,7 +233,7 @@ def test_lower_toeplitz_apply_matches_convolution():
 
 
 def test_kernel_operator_apply_is_one_fft_pair(example_params, monkeypatch):
-    op = green_operator(example_params, Grid(8193))
+    op = kernel_operators(example_params, Grid(8193))[0]
     calls = []
     for name in ("rfft", "irfft"):
         real = getattr(np.fft, name)

@@ -17,24 +17,18 @@ from fracbvp import (
     ProblemSpec,
     SingularityError,
     companion_eval,
-    companion_operator,
     companion_weight_matrix,
     gamma,
     green_eval,
-    green_operator,
     green_weight_matrix,
     gstar,
     gstar_coarse_bound,
+    kernel_operators,
     parse,
     picard_solve,
 )
-from fracbvp.fracops import left_kernel_toeplitz, right_kernel_moments
-from fracbvp.greens import (
-    green_abs_mass,
-    green_branch_value,
-    green_sign_change,
-    kernel_operators,
-)
+from fracbvp.fracops import left_kernel_toeplitz
+from fracbvp.greens import green_abs_mass, green_branch_value, green_sign_change
 
 from conftest import left_moments_row, oracle_gstar, oracle_sign_change
 
@@ -165,7 +159,8 @@ def test_weight_matrices_match_rows(example_params):
     # rows assembled term by term from the kernel formulas, one node at a time
     p, g = example_params, Grid(129)
     a, b, xi, h = p.alpha, p.beta, p.xi, g.h
-    right_a, right_ab = right_kernel_moments(a, g), right_kernel_moments(a - b, g)
+    # a right moment (1-s)^(q-1) is the t = 1 row of the order-q left moments
+    right_a, right_ab = left_moments_row(a, g, g.n - 1), left_moments_row(a - b, g, g.n - 1)
     gm = green_weight_matrix(p, g)
     hm = companion_weight_matrix(p, g)
     for i in (0, 1, 64, 128):
@@ -205,35 +200,21 @@ def test_green_operator_reads_right_moments_off_its_toeplitz_data(monkeypatch):
         for q in [p] + [_random_params(rng) for _ in range(3)]:
             a, b = q.alpha, q.beta
             column, first = left_kernel_toeplitz(a, g)
+            column_ab, first_ab = left_kernel_toeplitz(a - b, g)
             ratio = q.xi / (gamma(a) * (1.0 - q.xi))
             sing = gamma(2.0 - b) * (q.xi + (1.0 - q.xi) * g.nodes) / (gamma(a - b) * (1.0 - q.xi))
             parent = KernelOperator(
                 column / gamma(a),
                 first / gamma(a),
                 (
-                    (np.ones(n), ratio * right_kernel_moments(a, g)),
-                    (-sing, right_kernel_moments(a - b, g)),
+                    (np.ones(n), ratio * np.append(first[-1], column[-2::-1])),
+                    (-sing, np.append(first_ab[-1], column_ab[-2::-1])),
                 ),
             )
-            got = green_operator(q, g)
+            got = kernel_operators(q, g)[0]
             assert np.array_equal(got.dense(), parent.dense())
             for (gl, gr), (pl, pr) in zip(got.factors, parent.factors):
                 assert np.array_equal(gl, pl) and np.array_equal(gr, pr)
-
-
-@pytest.mark.parametrize("n", [2, 3, 129, 2049])
-def test_kernel_operators_match_separate_builds(n):
-    rng = np.random.default_rng(5)
-    g = Grid(n)
-    for q in [ProblemParams(1.5, 0.5, 0.5), ProblemParams(2.0, 0.5, 0.5)] + [
-        _random_params(rng) for _ in range(3)
-    ]:
-        for got, want in zip(kernel_operators(q, g), (green_operator(q, g), companion_operator(q, g))):
-            assert np.array_equal(got.column, want.column)
-            assert np.array_equal(got.first, want.first)
-            assert len(got.factors) == len(want.factors)
-            for (gl, gr), (wl, wr) in zip(got.factors, want.factors):
-                assert np.array_equal(gl, wl) and np.array_equal(gr, wr)
 
 
 @st.composite
@@ -268,7 +249,7 @@ def test_operator_matches_dense(p, n, seed):
     # differ by eps/(1-xi) relative to the result.
     f = np.random.default_rng(seed).uniform(-1.0, 1.0, size=n)
     g = Grid(n)
-    for op in (green_operator(p, g), companion_operator(p, g)):
+    for op in kernel_operators(p, g):
         assert op.shape == (n, n)
         terms = KernelOperator(np.abs(op.column), np.abs(op.first), ()).dense() @ np.abs(f)
         for left, right in op.factors:
@@ -290,9 +271,10 @@ def test_operator_row_sums_match_closed_form(p, n):
     ratio = xi / (gamma(a) * (1.0 - xi))
     sing = gamma(2.0 - b) * (xi + (1.0 - xi) * t) / (gamma(a - b) * (1.0 - xi))
     comp = gamma(2.0 - b) / (gamma(3.0 - a) * gamma(a - b)) * t ** (2.0 - a)
+    green_op, companion_op = kernel_operators(p, g)
     for op, terms in (
-        (green_operator(p, g), (t**a / gamma(a + 1.0), ratio / a * ones, -sing / (a - b))),
-        (companion_operator(p, g), (t, -comp / (a - b))),
+        (green_op, (t**a / gamma(a + 1.0), ratio / a * ones, -sing / (a - b))),
+        (companion_op, (t, -comp / (a - b))),
     ):
         err = np.max(np.abs(op @ ones - sum(terms)))
         assert err <= 1e-14 * np.max(sum(np.abs(term) for term in terms))
