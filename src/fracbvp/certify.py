@@ -134,10 +134,10 @@ def certify(
     When no Lipschitz constant is supplied, one is estimated by sampled
     finite differences of the right-hand side and the certificate is flagged
     ``estimated_k``.  ``m`` is the number of t nodes of the gstar scan;
-    ``n`` no longer affects gstar and is kept only for the signature.
+    ``n`` is ignored and kept only for the signature.
     """
     params = spec.params
-    gs = gstar(params, n=n, m=m)
+    gs = gstar(params, m=m)
     estimated = k is None
     if estimated:
         k = lipschitz_estimate(spec.rhs)

@@ -14,8 +14,8 @@ import math
 import os
 import sys
 import tempfile
-from dataclasses import dataclass
-from typing import Optional
+from dataclasses import dataclass, replace
+from typing import Any, Callable, Optional
 
 import numpy as np
 
@@ -44,64 +44,65 @@ EXAMPLE_K = 1.0 / 11.0
 EXAMPLE_RHS = "sin(t)^2/(11*(exp(2*t)+3*exp(t)+1))*(3+t+5*u+v)"
 EXAMPLE_GSTAR_REPORTED = 3.1601
 
-_CONFIG_KEYS = {
-    "alpha",
-    "beta",
-    "xi",
-    "rhs",
-    "grid_n",
-    "tol",
-    "max_iter",
-    "k",
-    "p_star",
-    "psi_kind",
-    "psi_a",
-    "psi_b",
-    "output_dir",
+# The config schema: key -> (kind, default, range check).  kind is float (read
+# as a finite float), int or str; the default ... marks a key the file must
+# give.  A range check (ok, wording) rejects a value v with "<key> <wording>,
+# got <v!r>".  grid_n feeds only `solve`, whose residual check needs n >= 129.
+_KEYS: dict[str, tuple[type, Any, Optional[tuple[Callable[[Any], bool], str]]]] = {
+    "alpha": (float, ..., None),
+    "beta": (float, ..., None),
+    "xi": (float, ..., None),
+    "rhs": (str, ..., None),
+    "grid_n": (int, 513, (lambda n: n >= 129, "must be >= 129")),
+    "tol": (float, 1e-8, (lambda x: 0.0 < x <= 1e-2, "must lie in (0, 1e-2]")),
+    "max_iter": (int, 200, (lambda n: n >= 1, "must be >= 1")),
+    "k": (float, None, (lambda x: x >= 0.0, "must be >= 0")),
+    "p_star": (float, None, None),
+    "psi_kind": (
+        str,
+        None,
+        (lambda s: s.lower() in ("constant", "affine"), "must be 'constant' or 'affine'"),
+    ),
+    "psi_a": (float, None, None),
+    "psi_b": (float, None, None),
+    "output_dir": (str, ".", None),
 }
 
 
 @dataclass(frozen=True)
 class Config:
-    """Validated run configuration."""
+    """Validated run configuration; defaults live in ``_KEYS``."""
 
     params: ProblemParams
     rhs_source: str
     rhs: Expr
-    grid_n: int = 513
-    tol: float = 1e-8
-    max_iter: int = 200
-    k: Optional[float] = None
-    growth: Optional[GrowthSpec] = None
-    output_dir: str = "."
+    grid_n: int
+    tol: float
+    max_iter: int
+    k: Optional[float]
+    growth: Optional[GrowthSpec]
+    output_dir: str
 
 
-def _parse_float(key: str, text: str) -> float:
+def _check(key: str, value: Any, label: str) -> Any:
+    """Apply ``key``'s range check, if any, naming the value ``label``."""
+    check = _KEYS[key][2]
+    if check is not None and not check[0](value):
+        raise ConfigError(f"{label} {check[1]}, got {value!r}")
+    return value
+
+
+def _convert(path: str, key: str, text: str) -> Any:
+    """Convert ``text`` to ``key``'s kind and range-check it."""
+    kind = _KEYS[key][0]
     try:
-        val = float(text)
+        value = kind(text)
     except ValueError:
-        raise ConfigError(f"key {key!r}: expected a number, got {text!r}") from None
-    if not math.isfinite(val):
+        expected = "an integer" if kind is int else "a number"
+        raise ConfigError(f"key {key!r}: expected {expected}, got {text!r}") from None
+    if kind is float and not math.isfinite(value):
         raise ConfigError(f"key {key!r}: value must be finite, got {text!r}")
-    return val
-
-
-def _parse_int(key: str, text: str) -> int:
-    try:
-        return int(text)
-    except ValueError:
-        raise ConfigError(f"key {key!r}: expected an integer, got {text!r}") from None
-
-
-def _check_grid_n(label: str, grid_n: int) -> None:
-    # grid_n feeds only `solve`, whose residual check needs n >= 129
-    if grid_n < 129:
-        raise ConfigError(f"{label} must be >= 129, got {grid_n}")
-
-
-def _check_tol(label: str, tol: float) -> None:
-    if not (0.0 < tol <= 1e-2):
-        raise ConfigError(f"{label} must lie in (0, 1e-2], got {tol}")
+    return _check(key, value, f"{path}: {key}")
 
 
 def parse_config(path: str) -> Config:
@@ -109,7 +110,7 @@ def parse_config(path: str) -> Config:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             lines = fh.readlines()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config {path!r}: {exc}") from exc
 
     raw: dict[str, str] = {}
@@ -121,7 +122,7 @@ def parse_config(path: str) -> Config:
             raise ConfigError(f"{path}:{lineno}: expected 'key = value', got {body!r}")
         key, value = body.split("=", 1)
         key, value = key.strip(), value.strip()
-        if key not in _CONFIG_KEYS:
+        if key not in _KEYS:
             raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
         if key in raw:
             raise ConfigError(f"{path}:{lineno}: duplicate key {key!r}")
@@ -129,81 +130,48 @@ def parse_config(path: str) -> Config:
             raise ConfigError(f"{path}:{lineno}: key {key!r} has no value")
         raw[key] = value
 
-    for required in ("alpha", "beta", "xi", "rhs"):
-        if required not in raw:
-            raise ConfigError(f"{path}: missing required key {required!r}")
+    for key, (_, default, _) in _KEYS.items():
+        if default is ... and key not in raw:
+            raise ConfigError(f"{path}: missing required key {key!r}")
+    values = {
+        key: _convert(path, key, raw[key]) if key in raw else default
+        for key, (_, default, _) in _KEYS.items()
+    }
+
+    psi_kind, a, b, p_star = (values[key] for key in ("psi_kind", "psi_a", "psi_b", "p_star"))
+    if psi_kind is None:
+        if a is not None or b is not None:
+            raise ConfigError(f"{path}: psi_a/psi_b need psi_kind")
+    elif a is None:
+        raise ConfigError(f"{path}: psi_kind={psi_kind.lower()} needs psi_a")
+    elif psi_kind.lower() == "constant" and b is not None:
+        raise ConfigError(f"{path}: psi_b applies only to psi_kind=affine")
+    if (psi_kind is None) != (p_star is None):
+        raise ConfigError(f"{path}: growth condition needs both psi_kind and p_star")
 
     try:
-        params = ProblemParams(
-            _parse_float("alpha", raw["alpha"]),
-            _parse_float("beta", raw["beta"]),
-            _parse_float("xi", raw["xi"]),
-        )
+        params = ProblemParams(values["alpha"], values["beta"], values["xi"])
+        growth = None
+        if psi_kind is not None:
+            # the constant envelope is the affine one without psi_b
+            growth = GrowthSpec(p_star, AffinePsi(a, 0.0 if b is None else b))
     except DomainError as exc:
         raise ConfigError(f"{path}: {exc}") from exc
-
-    rhs_source = raw["rhs"]
     try:
-        rhs = parse(rhs_source)
+        rhs = parse(values["rhs"])
     except ParseError as exc:
         raise ConfigError(f"{path}: key 'rhs': {exc}") from exc
 
-    grid_n = _parse_int("grid_n", raw["grid_n"]) if "grid_n" in raw else 513
-    _check_grid_n(f"{path}: grid_n", grid_n)
-    tol = _parse_float("tol", raw["tol"]) if "tol" in raw else 1e-8
-    _check_tol(f"{path}: tol", tol)
-    max_iter = _parse_int("max_iter", raw["max_iter"]) if "max_iter" in raw else 200
-    if max_iter < 1:
-        raise ConfigError(f"{path}: max_iter must be >= 1, got {max_iter}")
-
-    k = _parse_float("k", raw["k"]) if "k" in raw else None
-    if k is not None and k < 0.0:
-        raise ConfigError(f"{path}: k must be >= 0, got {k}")
-
-    psi: Optional[AffinePsi] = None
-    if "psi_kind" in raw:
-        kind = raw["psi_kind"].lower()
-        if kind == "constant":
-            if "psi_a" not in raw:
-                raise ConfigError(f"{path}: psi_kind=constant needs psi_a")
-            if "psi_b" in raw:
-                raise ConfigError(f"{path}: psi_b applies only to psi_kind=affine")
-            try:
-                psi = AffinePsi(_parse_float("psi_a", raw["psi_a"]))
-            except DomainError as exc:
-                raise ConfigError(f"{path}: {exc}") from exc
-        elif kind == "affine":
-            if "psi_a" not in raw:
-                raise ConfigError(f"{path}: psi_kind=affine needs psi_a")
-            b = _parse_float("psi_b", raw["psi_b"]) if "psi_b" in raw else 0.0
-            try:
-                psi = AffinePsi(_parse_float("psi_a", raw["psi_a"]), b)
-            except DomainError as exc:
-                raise ConfigError(f"{path}: {exc}") from exc
-        else:
-            raise ConfigError(
-                f"{path}: psi_kind must be 'constant' or 'affine', got {raw['psi_kind']!r}"
-            )
-    elif "psi_a" in raw or "psi_b" in raw:
-        raise ConfigError(f"{path}: psi_a/psi_b need psi_kind")
-
-    p_star = _parse_float("p_star", raw["p_star"]) if "p_star" in raw else None
-    if p_star is not None and p_star < 0.0:
-        raise ConfigError(f"{path}: p_star must be >= 0, got {p_star}")
-    if (psi is None) != (p_star is None):
-        raise ConfigError(f"{path}: growth condition needs both psi_kind and p_star")
-    growth = GrowthSpec(p_star, psi) if psi is not None else None
-
     return Config(
         params=params,
-        rhs_source=rhs_source,
+        rhs_source=values["rhs"],
         rhs=rhs,
-        grid_n=grid_n,
-        tol=tol,
-        max_iter=max_iter,
-        k=k,
+        grid_n=values["grid_n"],
+        tol=values["tol"],
+        max_iter=values["max_iter"],
+        k=values["k"],
         growth=growth,
-        output_dir=raw.get("output_dir", "."),
+        output_dir=values["output_dir"],
     )
 
 
@@ -218,14 +186,17 @@ def _trunc6(x: float) -> str:
     return f"{math.floor(x * 1e6) / 1e6:.6f}"
 
 
-def _write_atomic(path: str, text: str) -> None:
-    """Write via a temp file in the target directory; no partial files."""
-    directory = os.path.dirname(path) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
+def _write_atomic(out_dir: str, name: str, text: str) -> None:
+    """Write ``out_dir/name`` via a temp file beside it; no partial files.
+
+    Creates ``out_dir`` when it does not exist yet.
+    """
+    os.makedirs(out_dir, exist_ok=True)
+    fd, tmp = tempfile.mkstemp(dir=out_dir, suffix=".tmp")
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
-        os.replace(tmp, path)
+        os.replace(tmp, os.path.join(out_dir, name))
     except BaseException:
         if os.path.exists(tmp):
             os.unlink(tmp)
@@ -247,10 +218,8 @@ def cmd_solve(config: Config, out_dir: str) -> int:
     pair, report = picard_solve(spec, config.grid_n, tol=config.tol, max_iter=config.max_iter)
     res = residual(spec, pair)
 
-    os.makedirs(out_dir, exist_ok=True)
     _write_atomic(
-        os.path.join(out_dir, "solution.csv"),
-        _solution_csv(pair.grid.nodes, pair.u.values, pair.v.values),
+        out_dir, "solution.csv", _solution_csv(pair.grid.nodes, pair.u.values, pair.v.values)
     )
     body = {
         "alpha": config.params.alpha,
@@ -268,9 +237,7 @@ def cmd_solve(config: Config, out_dir: str) -> int:
         "accelerated": list(report.accelerated),
     }
     body.update(res.as_dict())
-    _write_atomic(
-        os.path.join(out_dir, "report.json"), json.dumps(body, indent=2) + "\n"
-    )
+    _write_atomic(out_dir, "report.json", json.dumps(body, indent=2) + "\n")
     print(f"converged in {report.iterations} iterations; wrote {out_dir}/solution.csv")
     return 0
 
@@ -308,8 +275,7 @@ def cmd_certify(config: Config, out_dir: Optional[str]) -> int:
     text = "\n".join(lines) + "\n"
     sys.stdout.write(text)
     if out_dir is not None:
-        os.makedirs(out_dir, exist_ok=True)
-        _write_atomic(os.path.join(out_dir, "certificate.txt"), text)
+        _write_atomic(out_dir, "certificate.txt", text)
     return 0
 
 
@@ -329,8 +295,7 @@ def cmd_green(config: Config, out_dir: str, m_t: int, m_s: int) -> int:
             continue
         for t in t_vals:
             lines.append(f"{_fmt(t)},{_fmt(s)},{_fmt(green_eval(params, t, s))}")
-    os.makedirs(out_dir, exist_ok=True)
-    _write_atomic(os.path.join(out_dir, "green.csv"), "\n".join(lines) + "\n")
+    _write_atomic(out_dir, "green.csv", "\n".join(lines) + "\n")
     print(f"wrote {out_dir}/green.csv ({m_t} t-nodes x {m_s} s-nodes)")
     return 0
 
@@ -342,7 +307,7 @@ def cmd_example() -> int:
     spec = ProblemSpec(params, rhs)
     k = EXAMPLE_K
     th = theta(params)
-    cert = certify(spec, k=k, n=2049, m=513)
+    cert = certify(spec, k=k, m=513)
 
     out = [
         f"alpha={_fmt(EXAMPLE_ALPHA)}",
@@ -408,16 +373,10 @@ def _build_arg_parser() -> argparse.ArgumentParser:
 def _apply_overrides(config: Config, args: argparse.Namespace) -> Config:
     updates: dict[str, object] = {}
     if args.grid is not None:
-        _check_grid_n("--grid", args.grid)
-        updates["grid_n"] = args.grid
+        updates["grid_n"] = _check("grid_n", args.grid, "--grid")
     if args.tol is not None:
-        _check_tol("--tol", args.tol)
-        updates["tol"] = args.tol
-    if not updates:
-        return config
-    from dataclasses import replace
-
-    return replace(config, **updates)
+        updates["tol"] = _check("tol", args.tol, "--tol")
+    return replace(config, **updates) if updates else config
 
 
 def main(argv: Optional[list[str]] = None) -> int:

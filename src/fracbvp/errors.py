@@ -18,7 +18,7 @@ class SingularityError(DomainError):
 class ParseError(FracbvpError, ValueError):
     """Expression source text failed to parse.
 
-    ``offset`` is the 1-based byte offset of the offending token and
+    ``offset`` is the 1-based character offset of the offending token and
     ``expected`` names the token classes that would have been accepted.
     """
 

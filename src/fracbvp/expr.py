@@ -59,13 +59,15 @@ class Call:
 Expr = Union[Num, Var, Neg, BinOp, Call]
 
 _ATOM_EXPECTED = ("number", "'pi'", "variable", "function", "'('", "'-'")
+# a NUMBER's digits are ASCII; str.isdigit would also take "²" or "٣"
+_DIGITS = frozenset("0123456789")
 
 
 @dataclass(frozen=True)
 class _Token:
     kind: str  # "num", "ident", "op", "end"
     text: str
-    offset: int  # 1-based byte offset in the source
+    offset: int  # 1-based character offset in the source
 
 
 def _tokenize(source: str) -> list[_Token]:
@@ -77,21 +79,21 @@ def _tokenize(source: str) -> list[_Token]:
             i += 1
             continue
         start = i
-        if c.isdigit() or (c == "." and i + 1 < n and source[i + 1].isdigit()):
+        if c in _DIGITS or (c == "." and i + 1 < n and source[i + 1] in _DIGITS):
             i += 1
-            while i < n and source[i].isdigit():
+            while i < n and source[i] in _DIGITS:
                 i += 1
             if i < n and source[i] == ".":
                 i += 1
-                while i < n and source[i].isdigit():
+                while i < n and source[i] in _DIGITS:
                     i += 1
             if i < n and source[i] in "eE":
                 j = i + 1
                 if j < n and source[j] in "+-":
                     j += 1
-                if j < n and source[j].isdigit():
+                if j < n and source[j] in _DIGITS:
                     i = j + 1
-                    while i < n and source[i].isdigit():
+                    while i < n and source[i] in _DIGITS:
                         i += 1
             tokens.append(_Token("num", source[start:i], start + 1))
             continue
@@ -216,7 +218,7 @@ class _Parser:
 def parse(source: str) -> Expr:
     """Parse source text into an expression tree.
 
-    Raises :class:`ParseError` with a 1-based byte offset and the set of
+    Raises :class:`ParseError` with a 1-based character offset and the set of
     acceptable tokens; unknown names raise :class:`UnknownIdentifierError`.
     """
     if not isinstance(source, str):

@@ -408,7 +408,7 @@ def green_abs_mass(p: ProblemParams, t) -> np.ndarray:
         return 2.0 * _primitive(terms, t, _sign_change(p, t, terms)) - _primitive(terms, t, 1.0)
 
 
-def gstar(p: ProblemParams, n: int = 2049, m: int = 513) -> float:
+def gstar(p: ProblemParams, m: int = 513, *, n: int | None = None) -> float:
     """sup over t of integral_0^1 |G(t, s)| ds, scanned on m uniform t nodes.
 
     Each scan value is the closed-form mass of :func:`green_abs_mass`,
@@ -430,9 +430,9 @@ def gstar(p: ProblemParams, n: int = 2049, m: int = 513) -> float:
     array passes.
 
     The result is the maximum over the scan nodes, a lower bound on the
-    supremum.  ``n`` no longer affects the value; it is kept, and still
-    checked, for the signature's sake.
+    supremum.  ``n`` is ignored: it is accepted only so that callers that
+    still pass it keep working.
     """
-    if n < 2 or m < 2:
-        raise DomainError(f"need n >= 2 and m >= 2, got n={n}, m={m}")
+    if m < 2:
+        raise DomainError(f"need m >= 2, got m={m}")
     return float(np.max(green_abs_mass(p, np.linspace(0.0, 1.0, m))))

@@ -329,13 +329,12 @@ def picard_solve(
     witness steps and from the plain steps taken after a rejected
     candidate; candidates never enter it.
 
-    A first step of exactly zero means the zero pair is itself a fixed point
-    of the discrete map (f vanishes along it).  That alone does not certify
-    it: when the operator expands, the iteration cannot distinguish a genuine
-    solution from an unstable rest point it happens to start on.  In that
-    degenerate case the run restarts from a constant probe pair and its
-    outcome is reported instead; an expanding map then surfaces as a
-    divergence error rather than a false success.
+    When the very first sweep already meets tol, the run restarts from a
+    constant probe pair and reports that run instead.  One small step from
+    the zero pair says only that f nearly vanishes there, not that the map
+    contracts; an unstable rest point looks the same.  For f = 100 u + 1e-12
+    the first step is about 1e-12, yet the map expands, and the restart
+    turns a false success into a divergence error.
 
     The right-hand side's u,v-free subtrees are sampled at the grid nodes
     once (:func:`expr.fold_invariants`), so each sweep evaluates only the

@@ -79,7 +79,7 @@ def test_existence_radius_closed_forms(example_params):
 
 
 def test_certify_example_unique(example_spec):
-    cert = certify(example_spec, k=EXAMPLE_K, n=1025, m=65)
+    cert = certify(example_spec, k=EXAMPLE_K, m=65)
     assert cert.unique
     assert abs(cert.d - 4.0 / 11.0) <= 1e-12
     assert abs(cert.k - EXAMPLE_K) <= 1e-15
@@ -90,19 +90,19 @@ def test_certify_example_unique(example_spec):
 
 
 def test_certify_zero_k(example_spec):
-    cert = certify(example_spec, k=0.0, n=513, m=33)
+    cert = certify(example_spec, k=0.0, m=33)
     assert cert.d == 0.0
     assert cert.unique
 
 
 def test_certify_large_k_not_unique(example_spec):
-    cert = certify(example_spec, k=100.0, n=513, m=33)
+    cert = certify(example_spec, k=100.0, m=33)
     assert not cert.unique
     assert cert.d >= 400.0 - 1e-9
 
 
 def test_certify_estimates_k_when_missing(example_spec):
-    cert = certify(example_spec, n=513, m=33)
+    cert = certify(example_spec, m=33)
     assert cert.estimated_k
     # sampled bound of the state partials: 5 sin(t)^2 / (11 (e^{2t}+3e^t+1))
     assert abs(cert.k - 0.019485823) <= 1e-6
@@ -111,22 +111,22 @@ def test_certify_estimates_k_when_missing(example_spec):
 
 def test_certify_growth_flags(example_spec):
     with_growth = certify(
-        example_spec, k=EXAMPLE_K, growth=GrowthSpec(1.0, AffinePsi(1.0)), n=513, m=33
+        example_spec, k=EXAMPLE_K, growth=GrowthSpec(1.0, AffinePsi(1.0)), m=33
     )
     assert with_growth.exists
     assert with_growth.r == pytest.approx(2.0, abs=1e-9)
     no_radius = certify(
-        example_spec, k=EXAMPLE_K, growth=GrowthSpec(1.0, AffinePsi(1.0, 1.0)), n=513, m=33
+        example_spec, k=EXAMPLE_K, growth=GrowthSpec(1.0, AffinePsi(1.0, 1.0)), m=33
     )
     assert not no_radius.exists
     assert no_radius.r is None
-    without = certify(example_spec, k=EXAMPLE_K, n=513, m=33)
+    without = certify(example_spec, k=EXAMPLE_K, m=33)
     assert not without.exists
     assert without.r is None
 
 
 def test_certificate_dict_shape(example_spec):
-    cert = certify(example_spec, k=EXAMPLE_K, n=513, m=33)
+    cert = certify(example_spec, k=EXAMPLE_K, m=33)
     d = cert.as_dict()
     assert set(d) == {
         "gstar_value",

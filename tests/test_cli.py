@@ -1,6 +1,7 @@
 """Config parsing, subcommand workflows, exit codes, output files."""
 
 import json
+import re
 import subprocess
 import sys
 
@@ -74,24 +75,47 @@ def test_parse_config_growth_block(tmp_path):
 
 
 def test_parse_config_errors(tmp_path):
+    # one fault per file, each with its message as printed after the path
+    base = "alpha = 1.5\nbeta = 0.5\nxi = 0.5\nrhs = 1\n"
     bad = (
-        "alpha = 1.5\nbeta = 0.5\nxi = 0.5\n",  # missing rhs
-        "alpha = 1.5\nbeta = 0.5\nxi = 0.5\nrhs = 1\nwhat = 3\n",  # unknown key
-        "alpha = 1.5\nalpha = 1.6\nbeta = 0.5\nxi = 0.5\nrhs = 1\n",  # duplicate
-        "alpha = oops\nbeta = 0.5\nxi = 0.5\nrhs = 1\n",  # bad number
-        "alpha = 1.5\nbeta = 0.5\nxi = 0.5\nrhs = 1\ngrid_n = 32\n",  # grid too small
-        "alpha = 1.5\nbeta = 0.5\nxi = 0.5\nrhs = 1\ntol = 0.5\n",  # tol too large
-        "alpha = 1.5\nbeta = 0.5\nxi = 0.5\nrhs = 1\nmax_iter = 0\n",
-        "alpha = 1.5\nbeta = 0.5\nxi = 0.5\nrhs = 1\nk = -1\n",
-        "alpha = 1.5\nbeta = 0.5\nxi = 0.5\nrhs = 1\npsi_kind = affine\n",  # psi_a missing
-        "alpha = 1.5\nbeta = 0.5\nxi = 0.5\nrhs = 1\np_star = 1.0\n",  # psi missing
-        "alpha = 1.5\nbeta = 0.5\nxi = 0.5\nrhs = 1\npsi_kind = quadratic\npsi_a = 1\np_star = 1\n",
-        "alpha = 1.5\nbeta = 0.5\nxi = 0.5\nrhs = 1\npsi_kind = constant\npsi_a = 1\npsi_b = 7\np_star = 1\n",
-        "alpha = 1.5\nbeta = 0.5\nxi = 0.5\nrhs = 1\ntol =\n",  # empty value
-        "alpha = 1.5\nbeta = 0.5\nxi = 0.5\nrhs = sin(\n",  # rhs does not parse
+        ("alpha = 1.5\nbeta = 0.5\nxi = 0.5\n", "missing required key 'rhs'"),
+        (base + "what = 3\n", ":5: unknown key 'what'"),
+        ("alpha = 1.5\nalpha = 1.6\nbeta = 0.5\nxi = 0.5\nrhs = 1\n", ":2: duplicate key 'alpha'"),
+        ("alpha = oops\nbeta = 0.5\nxi = 0.5\nrhs = 1\n", "key 'alpha': expected a number, got 'oops'"),
+        (base + "grid_n = 32\n", "grid_n must be >= 129, got 32"),
+        (base + "grid_n = 1.5\n", "key 'grid_n': expected an integer, got '1.5'"),
+        (base + "tol = 0.5\n", "tol must lie in (0, 1e-2], got 0.5"),
+        (base + "tol = inf\n", "key 'tol': value must be finite, got 'inf'"),
+        (base + "max_iter = 0\n", "max_iter must be >= 1, got 0"),
+        (base + "max_iter = 2.5\n", "key 'max_iter': expected an integer, got '2.5'"),
+        (base + "k = -1\n", "k must be >= 0, got -1.0"),
+        (base + "k = nan\n", "key 'k': value must be finite, got 'nan'"),
+        (base + "psi_kind = affine\n", "psi_kind=affine needs psi_a"),
+        (base + "psi_kind = constant\np_star = 1\n", "psi_kind=constant needs psi_a"),
+        (base + "p_star = 1.0\n", "growth condition needs both psi_kind and p_star"),
+        (base + "psi_a = 1\np_star = 1\n", "psi_a/psi_b need psi_kind"),
+        (
+            base + "psi_kind = quadratic\npsi_a = 1\np_star = 1\n",
+            "psi_kind must be 'constant' or 'affine', got 'quadratic'",
+        ),
+        (
+            base + "psi_kind = constant\npsi_a = 1\npsi_b = 7\np_star = 1\n",
+            "psi_b applies only to psi_kind=affine",
+        ),
+        (base + "psi_kind = affine\npsi_a = -1\np_star = 1\n", "growth envelope needs a > 0, got -1.0"),
+        (base + "psi_kind = affine\npsi_a = 1\npsi_b = -1\np_star = 1\n", "growth envelope needs b >= 0, got -1.0"),
+        (base + "psi_kind = affine\npsi_a = 1\npsi_b = x\np_star = 1\n", "key 'psi_b': expected a number, got 'x'"),
+        (base + "psi_kind = affine\npsi_a = 1\np_star = -1\n", "p_star must be >= 0, got -1.0"),
+        (base + "tol =\n", ":5: key 'tol' has no value"),
+        (base + "tol 1e-3\n", ":5: expected 'key = value', got 'tol 1e-3'"),
+        (
+            "alpha = 1.5\nbeta = 0.5\nxi = 0.5\nrhs = sin(\n",
+            "key 'rhs': unexpected 'end of input' at offset 5; "
+            "expected one of: number, 'pi', variable, function, '(', '-'",
+        ),
     )
-    for text in bad:
-        with pytest.raises(ConfigError):
+    for text, message in bad:
+        with pytest.raises(ConfigError, match=re.escape(message) + "$"):
             parse_config(write_config(tmp_path, text))
 
 
@@ -170,6 +194,11 @@ def test_invalid_config_exit_code(tmp_path, capsys):
     for cmd in (["solve", "--config", cfg, "--out", str(tmp_path / "y")], ["certify", "--config", cfg]):
         assert main(cmd) == 2
         assert "'1e400' at offset 5 is not finite" in capsys.readouterr().err
+    # a file that is not UTF-8 cannot be read; that is a config error too
+    latin1 = tmp_path / "latin1.cfg"
+    latin1.write_bytes(b"alpha = 1.5\nbeta = 0.5\nxi = 0.5\nrhs = 1\n# caf\xe9\n")
+    assert main(["certify", "--config", str(latin1)]) == 2
+    assert "cannot read config" in capsys.readouterr().err
 
 
 def test_grid_and_tol_overrides(tmp_path, capsys):
@@ -181,6 +210,7 @@ def test_grid_and_tol_overrides(tmp_path, capsys):
     for flags, message in (
         (["--grid", "32"], "--grid must be >= 129, got 32"),
         (["--tol", "0.5"], "--tol must lie in (0, 1e-2], got 0.5"),
+        (["--tol", "nan"], "--tol must lie in (0, 1e-2], got nan"),
     ):
         capsys.readouterr()
         assert main(["solve", "--config", cfg, "--out", str(out)] + flags) == 2

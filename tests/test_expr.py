@@ -145,6 +145,9 @@ def test_parse_error_offsets():
         ("", 1),
         ("1e400", 1),
         ("sin(t+1e999)", 7),
+        ("u+é", 3),  # offsets count characters; the byte offset would be 4
+        ("u+²", 3),  # a literal's digits are ASCII 0-9 only
+        ("٣", 1),
     )
     for src, offset in cases:
         with pytest.raises(ParseError) as info:

@@ -323,9 +323,14 @@ def test_witness(ratios, want):
     assert solver._witness(ratios) == want
 
 
-@pytest.mark.parametrize("c", [4, -4, 5, -5, -10])
-def test_expanding_maps_still_diverge(example_params, c):
-    spec = ProblemSpec(example_params, parse(GUARD_RHS.format(c=c)))
+EXPANDING_RHS = {str(c): GUARD_RHS.format(c=c) for c in (4, -4, 5, -5, -10)}
+# the first step, about 1e-12, already meets tol; the probe restart must catch it
+EXPANDING_RHS["tiny_first_step"] = "100*u + 1e-12"
+
+
+@pytest.mark.parametrize("rhs", EXPANDING_RHS.values(), ids=EXPANDING_RHS.keys())
+def test_expanding_maps_still_diverge(example_params, rhs):
+    spec = ProblemSpec(example_params, parse(rhs))
     with pytest.raises(DivergenceError):
         picard_solve(spec, 513, tol=1e-10)
 
