@@ -65,7 +65,7 @@ _KEYS: dict[str, tuple[type, Any, Optional[tuple[Callable[[Any], bool], str]]]] 
     ),
     "psi_a": (float, None, None),
     "psi_b": (float, None, None),
-    "output_dir": (str, ".", None),
+    "output_dir": (str, None, None),
 }
 
 
@@ -81,7 +81,7 @@ class Config:
     max_iter: int
     k: Optional[float]
     growth: Optional[GrowthSpec]
-    output_dir: str
+    output_dir: Optional[str]
 
 
 def _check(key: str, value: Any, label: str) -> Any:
@@ -93,9 +93,15 @@ def _check(key: str, value: Any, label: str) -> Any:
 
 
 def _convert(path: str, key: str, text: str) -> Any:
-    """Convert ``text`` to ``key``'s kind and range-check it."""
+    """Convert ``text`` to ``key``'s kind and range-check it.
+
+    Numbers are plain ASCII: int() and float() would also take ``_``
+    separators and non-ASCII digits, which are rejected here.
+    """
     kind = _KEYS[key][0]
     try:
+        if kind is not str and ("_" in text or not text.isascii()):
+            raise ValueError(text)
         value = kind(text)
     except ValueError:
         expected = "an integer" if kind is int else "a number"
@@ -387,11 +393,11 @@ def main(argv: Optional[list[str]] = None) -> int:
         config = parse_config(args.config)
         config = _apply_overrides(config, args)
         out_dir = args.out or config.output_dir
-        if args.command == "solve":
-            return cmd_solve(config, out_dir)
         if args.command == "certify":
-            return cmd_certify(config, args.out or (None if config.output_dir == "." else config.output_dir))
-        return cmd_green(config, out_dir, args.mt, args.ms)
+            return cmd_certify(config, out_dir)
+        if args.command == "solve":
+            return cmd_solve(config, out_dir or ".")
+        return cmd_green(config, out_dir or ".", args.mt, args.ms)
     except (ConfigError, DomainError, ParseError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -13,10 +13,12 @@ weakly singular factor is integrated exactly against the piecewise-linear
 interpolant of the data, so both grid operators are exact (to roundoff)
 whenever the input is piecewise linear on the grid.  On a uniform grid both
 are convolutions, held as the first column of a lower-triangular Toeplitz
-matrix and applied by FFT (:func:`lower_toeplitz_apply`).  The transforms
-have the shortest power-of-two length >= 2n - 2 that keeps the product
-exact, and a column applied many times has its spectrum computed once
-(:func:`toeplitz_spectrum`).
+matrix.  :class:`KernelOperator` is the one FFT path: it holds one or more
+such columns, each with its own column 0 and a shared low-rank update, and
+applies them with transforms of the shortest power-of-two length >= 2n - 2
+that keeps the product exact.  Each column's spectrum is computed once,
+when the operator is built, and one forward transform of the input serves
+every stacked block.
 """
 
 from __future__ import annotations
@@ -152,39 +154,67 @@ def _fft_size(n: int) -> int:
     return 1 << max(2 * n - 3, 0).bit_length()
 
 
-def toeplitz_spectrum(column: np.ndarray) -> np.ndarray:
-    """Real FFT of a Toeplitz column, or of an input vector, at the length
-    :func:`lower_toeplitz_apply` uses for that length; pass it there to
-    reuse it."""
-    return np.fft.rfft(column, _fft_size(len(column)))
+@dataclass(frozen=True, eq=False)
+class KernelOperator:
+    """Quadrature weights of k kernels on a grid, stacked, in O(n) memory.
 
+    ``column`` and ``first`` have shape (n,) or (k, n).  The (k n) x n
+    weight matrix stacks k blocks T_b + (first_b - column_b) e_0^T, where
+    T_b[i, j] = column[b, i - j] for j <= i is lower-triangular Toeplitz,
+    and adds outer(left, right) for each pair in ``factors`` (left of
+    length k n, right of length n).
 
-def lower_toeplitz_apply(
-    column: np.ndarray,
-    x: np.ndarray,
-    spectrum: np.ndarray | None = None,
-    x_spectrum: np.ndarray | None = None,
-) -> np.ndarray:
-    """Product T x with the lower-triangular Toeplitz T[i, j] = column[i - j].
-
-    Both inputs are zero-padded to a power of two N >= 2n - 2 and multiplied
-    as a circular FFT convolution: O(n log n) time and O(n) memory.  The
-    linear convolution has indices 0 .. 2n - 2, so at most index 2n - 2,
-    the single term column[n-1] * x[n-1], wraps around, and it lands on
-    entry 0.  Entry 0 has a single term of its own and is set exactly, which
-    makes the first n entries exact and keeps rows that vanish at t = 0
-    exactly zero.  ``spectrum`` and ``x_spectrum``, if given, are
-    ``toeplitz_spectrum(column)`` and ``toeplitz_spectrum(x)``.
+    ``W @ x`` is the package's one FFT path: x and each column are
+    zero-padded to the shortest power of two N >= 2n - 2 and multiplied as
+    a circular convolution, one forward transform of x and one inverse
+    transform per block.  Only the linear convolution's last index 2n - 2,
+    the single term column[n-1] x[n-1], wraps around, onto entry 0; entry 0
+    of each block is a single term and is set exactly.  So the product is
+    exact to roundoff, and rows that vanish at t = 0 stay exactly zero.
+    The column spectra and ``first - column`` are prepared at construction.
+    :meth:`dense` expands W for small-n reference checks.
     """
-    n = len(x)
-    size = _fft_size(n)
-    if spectrum is None:
-        spectrum = toeplitz_spectrum(column)
-    if x_spectrum is None:
-        x_spectrum = toeplitz_spectrum(x)
-    out = np.fft.irfft(spectrum * x_spectrum, size)[:n]
-    out[0] = column[0] * x[0]
-    return out
+
+    column: np.ndarray
+    first: np.ndarray
+    factors: tuple[tuple[np.ndarray, np.ndarray], ...]
+
+    def __post_init__(self) -> None:
+        blocks = np.atleast_2d(self.column)
+        size = _fft_size(blocks.shape[1])
+        spectra = [np.fft.rfft(c, size) for c in blocks]
+        shift = (np.atleast_2d(self.first) - blocks).ravel()
+        object.__setattr__(self, "_fft", (size, spectra, blocks[:, 0].copy(), shift))
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return (self.column.size, self.column.shape[-1])
+
+    def __matmul__(self, x: np.ndarray) -> np.ndarray:
+        x = np.asarray(x, dtype=float)
+        n = self.column.shape[-1]
+        if x.shape != (n,):
+            raise DomainError(f"operator takes a vector of length {n}, got shape {x.shape}")
+        size, spectra, head, shift = self._fft  # type: ignore[attr-defined]
+        fx = np.fft.rfft(x, size)
+        out = np.concatenate([np.fft.irfft(s * fx, size)[:n] for s in spectra])
+        out[::n] = head * x[0]
+        out += shift * x[0]
+        for left, right in self.factors:
+            out += left * (right @ x)
+        return out
+
+    def dense(self) -> np.ndarray:
+        """The (k n) x n matrix W; O(k n^2) memory, for reference checks."""
+        blocks, n = np.atleast_2d(self.column), self.column.shape[-1]
+        # row i of a block is its reversed, zero-padded column read from offset n-1-i
+        padded = np.concatenate((np.zeros((len(blocks), n - 1)), blocks), axis=1)[:, ::-1]
+        out = np.lib.stride_tricks.sliding_window_view(padded, n, axis=1)[:, ::-1].copy()
+        out[:, :, 0] = np.atleast_2d(self.first)
+        out = out.reshape(-1, n)
+        for left, right in self.factors:
+            out += np.outer(left, right)
+        return out
 
 
 def caputo_grid(gamma_ord: float, u: GridFunction) -> GridFunction:
@@ -203,7 +233,7 @@ def caputo_grid(gamma_ord: float, u: GridFunction) -> GridFunction:
     h = u.grid.h
     k = np.arange(n - 1, dtype=float)
     a = (k + 1.0) ** (1.0 - gamma_ord) - k ** (1.0 - gamma_ord)
-    conv = lower_toeplitz_apply(a, np.diff(u.values))
+    conv = KernelOperator(a, a, ()) @ np.diff(u.values)
     out = np.zeros(n)
     out[1:] = conv * h ** (-gamma_ord) / gamma(2.0 - gamma_ord)
     return GridFunction(u.grid, out)

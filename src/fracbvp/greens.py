@@ -25,13 +25,14 @@ admissible parameter triple.
 Each kernel is written once, as a table of terms (``_green_terms``,
 ``_companion_terms``); the term tables are where the formulas live.  The
 grid weights, the pointwise values and G's antiderivative are derived from
-them term by term, each by one function.  On a uniform grid each kernel's
-weights are a :class:`KernelOperator`: the 1_{s<=t} terms give a
-lower-triangular Toeplitz matrix (apart from column 0), and the (1-s) terms
-a rank-2 (G) or rank-1 (H) update, so the weights take O(n) memory and
-apply in O(n log n).  The dense n x n matrices of
-:func:`green_weight_matrix` and :func:`companion_weight_matrix` are their
-expansions, kept as a small-n reference for tests.
+them term by term, each by one function.  On a uniform grid the weights of
+both kernels are one :class:`fracops.KernelOperator` of shape (2n, n), G's
+rows over H's, so the fixed-point map (G f, H f) is one product: in each
+block the 1_{s<=t} terms give a lower-triangular Toeplitz matrix (apart
+from column 0), and the (1-s) terms a rank-2 (G) or rank-1 (H) update, so
+the weights take O(n) memory and apply in O(n log n).  The dense n x n
+matrices of :func:`green_weight_matrix` and :func:`companion_weight_matrix`
+are the expansions of each block, kept as a small-n reference for tests.
 
 For each t, G(t, .) changes sign at most once, from + to -.  With r = 1-s,
 A = xi/(Gamma(alpha)(1-xi)) and B(t) the coefficient of the singular term,
@@ -71,13 +72,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, SingularityError
-from .fracops import (
-    Grid,
-    gamma,
-    left_kernel_toeplitz,
-    lower_toeplitz_apply,
-    toeplitz_spectrum,
-)
+from .fracops import Grid, KernelOperator, gamma, left_kernel_toeplitz
 
 @dataclass(frozen=True)
 class ProblemParams:
@@ -95,59 +90,6 @@ class ProblemParams:
             raise DomainError(f"beta must lie in (0, 1), got {b!r}")
         if not (math.isfinite(x) and 0.0 < x < 1.0):
             raise DomainError(f"xi must lie in (0, 1), got {x!r}")
-
-
-@dataclass(frozen=True, eq=False)
-class KernelOperator:
-    """Quadrature weights of a kernel on a grid, held in O(n) memory.
-
-    The n x n weight matrix is
-
-        W = T + (first - column) e_0^T + sum_k outer(left_k, right_k),
-
-    where T[i, j] = column[i - j] for j <= i is lower-triangular Toeplitz,
-    ``first`` replaces T's column 0, and ``factors`` holds the (left, right)
-    pairs of a low-rank update.  The spectrum of ``column`` is computed once,
-    at construction, so ``W @ x`` costs one forward and one inverse FFT plus
-    a dot product per factor; operators of one grid can share the forward
-    transform of x through :meth:`apply`.  :meth:`dense` expands W for
-    small-n reference checks.
-    """
-
-    column: np.ndarray
-    first: np.ndarray
-    factors: tuple[tuple[np.ndarray, np.ndarray], ...]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "_spectrum", toeplitz_spectrum(self.column))
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        n = len(self.column)
-        return (n, n)
-
-    def __matmul__(self, x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        return self.apply(x, toeplitz_spectrum(x))
-
-    def apply(self, x: np.ndarray, x_spectrum: np.ndarray) -> np.ndarray:
-        """W @ x for a float array x, given ``toeplitz_spectrum(x)``."""
-        out = lower_toeplitz_apply(self.column, x, self._spectrum, x_spectrum)  # type: ignore[attr-defined]
-        out += (self.first - self.column) * x[0]
-        for left, right in self.factors:
-            out += left * (right @ x)
-        return out
-
-    def dense(self) -> np.ndarray:
-        """The n x n matrix W; O(n^2) memory, for reference checks."""
-        n = len(self.column)
-        # row i of T is the reversed, zero-padded column read from offset n-1-i
-        padded = np.concatenate((np.zeros(n - 1), self.column))[::-1]
-        out = np.lib.stride_tricks.sliding_window_view(padded, n)[::-1].copy()
-        out[:, 0] = self.first
-        for left, right in self.factors:
-            out += np.outer(left, right)
-        return out
 
 
 # A kernel's terms are (kind, q, c): a coefficient c, a float or a function
@@ -175,32 +117,38 @@ def _companion_terms(p: ProblemParams) -> tuple:
     return (("indicator", 1.0, 1.0), ("right", a - b, lambda t: -c * t ** (2.0 - a)))
 
 
-def _operator(terms, grid: Grid, built: dict) -> KernelOperator:
-    """Exact hat-function moments of a term table at every grid node.
+def _operator(tables, grid: Grid) -> KernelOperator:
+    """Exact hat-function moments of term tables at every grid node, one
+    block row of the operator per table.
 
-    Left and indicator terms add into the Toeplitz data.  The moments of a
-    right term of order q are the t = 1 row of the order-q left moments, so
-    they are read off the same Toeplitz data, built once per distinct order
-    and kept in ``built`` (order -> ``left_kernel_toeplitz`` result), and
-    the term becomes a rank-1 factor.
+    Left and indicator terms add into their block's Toeplitz data.  The
+    moments of a right term of order q are the t = 1 row of the order-q
+    left moments, so they are read off the same Toeplitz data, built once
+    per distinct order in the call, and the term becomes a rank-1 factor
+    whose left vector is zero outside its block.
     """
     n, h = grid.n, grid.h
-    column, first, factors = np.zeros(n), np.zeros(n), []
-    for kind, q, c in terms:
-        if kind == "indicator":  # the trapezoid rule on [0, t_i]
-            col, fst = np.full(n, h), np.full(n, 0.5 * h)
-            col[0], fst[0] = 0.5 * h, 0.0
-        else:
-            if q not in built:
-                built[q] = left_kernel_toeplitz(q, grid)
-            col, fst = built[q]
-        if kind == "right":
-            w = np.append(fst[-1], col[-2::-1])
-            factors.append((c(grid.nodes), w) if callable(c) else (np.ones(n), c * w))
-        else:
-            scale = gamma(q) if kind == "left" else 1.0
-            column += c * col / scale
-            first += c * fst / scale
+    shape = (len(tables), n)
+    column, first, factors = np.zeros(shape), np.zeros(shape), []
+    built: dict = {}  # order -> left_kernel_toeplitz result
+    for row, terms in enumerate(tables):
+        for kind, q, c in terms:
+            if kind == "indicator":  # the trapezoid rule on [0, t_i]
+                col, fst = np.full(n, h), np.full(n, 0.5 * h)
+                col[0], fst[0] = 0.5 * h, 0.0
+            else:
+                if q not in built:
+                    built[q] = left_kernel_toeplitz(q, grid)
+                col, fst = built[q]
+            if kind == "right":
+                w = np.append(fst[-1], col[-2::-1])
+                left = np.zeros(shape)
+                left[row] = c(grid.nodes) if callable(c) else 1.0
+                factors.append((left.ravel(), w if callable(c) else c * w))
+            else:
+                scale = gamma(q) if kind == "left" else 1.0
+                column[row] += c * col / scale
+                first[row] += c * fst / scale
     return KernelOperator(column, first, tuple(factors))
 
 
@@ -281,14 +229,14 @@ def companion_eval(p: ProblemParams, t: float, s: float) -> float:
     return _eval(_companion_terms(p), "companion kernel", t, s)
 
 
-def kernel_operators(p: ProblemParams, grid: Grid) -> tuple[KernelOperator, KernelOperator]:
-    """Exact hat-function moments of G(t_i, .) and H(t_i, .) at every grid node t_i.
+def kernel_operators(p: ProblemParams, grid: Grid) -> KernelOperator:
+    """Exact hat-function moments of G(t_i, .) and H(t_i, .) at every grid
+    node t_i, as one (2n, n) operator: G's rows, then H's.
 
-    Every term of both kernels has a closed-form moment, so applying the
-    weights to samples of y reproduces integral_0^1 G(t_i, s) y(s) ds and
-    integral_0^1 H(t_i, s) y(s) ds exactly whenever y is piecewise linear on
-    the grid.  Weights are finite even where the kernels are unbounded at
-    s = 1.
+    Applied to samples of y it gives the stacked pair of
+    integral_0^1 G(t_i, s) y(s) ds and integral_0^1 H(t_i, s) y(s) ds,
+    exactly whenever y is piecewise linear on the grid.  Weights are finite
+    even where the kernels are unbounded at s = 1.
 
     For G, the left term gives the Toeplitz part and the two (1-s) terms a
     rank-2 update.  For H, the indicator term is the trapezoid rule on
@@ -298,18 +246,17 @@ def kernel_operators(p: ProblemParams, grid: Grid) -> tuple[KernelOperator, Kern
     rank-1 update.  Both kernels have a (1-s)^(alpha-beta-1) term, so the
     Toeplitz data of order alpha - beta is built once and shared.
     """
-    built: dict = {}
-    return _operator(_green_terms(p), grid, built), _operator(_companion_terms(p), grid, built)
+    return _operator((_green_terms(p), _companion_terms(p)), grid)
 
 
 def green_weight_matrix(p: ProblemParams, grid: Grid) -> np.ndarray:
-    """Dense n x n expansion of G's :func:`kernel_operators` weights; a small-n reference."""
-    return _operator(_green_terms(p), grid, {}).dense()
+    """Dense n x n expansion of G's :func:`kernel_operators` rows; a small-n reference."""
+    return _operator((_green_terms(p),), grid).dense()
 
 
 def companion_weight_matrix(p: ProblemParams, grid: Grid) -> np.ndarray:
-    """Dense n x n expansion of H's :func:`kernel_operators` weights; a small-n reference."""
-    return _operator(_companion_terms(p), grid, {}).dense()
+    """Dense n x n expansion of H's :func:`kernel_operators` rows; a small-n reference."""
+    return _operator((_companion_terms(p),), grid).dense()
 
 
 def gstar_coarse_bound(p: ProblemParams) -> float:

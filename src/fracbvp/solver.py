@@ -22,8 +22,8 @@ import numpy as np
 
 from .errors import DivergenceError, DomainError, EvaluationError
 from .expr import Expr, evaluate, fold_invariants
-from .fracops import Grid, GridFunction, caputo_grid, toeplitz_spectrum
-from .greens import KernelOperator, ProblemParams, kernel_operators
+from .fracops import Grid, GridFunction, KernelOperator, caputo_grid
+from .greens import ProblemParams, kernel_operators
 
 DIVERGENCE_CAP = 1e8
 # Constant pair used to re-seed the iteration when the zero start lands on a
@@ -115,54 +115,39 @@ def _rhs_samples(spec: ProblemSpec, nodes: np.ndarray, u: np.ndarray, v: np.ndar
         ) from exc
 
 
-def _step(
-    spec: ProblemSpec,
-    nodes: np.ndarray,
-    x: np.ndarray,
-    green_w: KernelOperator | np.ndarray,
-    companion_w: KernelOperator | np.ndarray,
-) -> np.ndarray:
-    """T applied to the stacked pair x = (u, v), as the stacked (2n,) image.
+def _step(spec: ProblemSpec, nodes: np.ndarray, x: np.ndarray, weights: KernelOperator) -> np.ndarray:
+    """T applied to the stacked pair x = (u, v), as the stacked (2n,) image
+    ``weights @ f`` of the stacked operator of greens.kernel_operators.
 
-    Operators share one forward transform of f.  An image that overflows
-    comes back non-finite, for the caller's norm test to catch.
+    An image that overflows comes back non-finite, for the caller's norm
+    test to catch.
     """
     n = len(nodes)
     f = _rhs_samples(spec, nodes, x[:n], x[n:])
     with np.errstate(over="ignore", invalid="ignore"):
-        return _apply_pair(green_w, companion_w, f)
-
-
-def _apply_pair(green_w, companion_w, f: np.ndarray) -> np.ndarray:
-    """(G f, H f) stacked; two operators share one forward transform of f."""
-    if isinstance(green_w, KernelOperator) and isinstance(companion_w, KernelOperator):
-        spectrum = toeplitz_spectrum(f)
-        return np.concatenate((green_w.apply(f, spectrum), companion_w.apply(f, spectrum)))
-    return np.concatenate((green_w @ f, companion_w @ f))
+        return weights @ f
 
 
 def _pair(grid: Grid, x: np.ndarray) -> SolutionPair:
     return SolutionPair(GridFunction(grid, x[: grid.n]), GridFunction(grid, x[grid.n :]))
 
 
-def apply_T(
-    spec: ProblemSpec,
-    pair: SolutionPair,
-    green_w: KernelOperator | np.ndarray,
-    companion_w: KernelOperator | np.ndarray,
-) -> SolutionPair:
+def apply_T(spec: ProblemSpec, pair: SolutionPair, green_w, companion_w) -> SolutionPair:
     """One application of the integral operator to a pair.
 
-    ``green_w`` and ``companion_w`` are the precomputed weights for the
-    pair's grid: anything with ``.shape`` and ``@``, such as the operators
-    of greens.kernel_operators or their dense expansions.
+    ``green_w`` and ``companion_w`` are per-kernel n x n weights for the
+    pair's grid: anything with ``.shape`` and ``@``, such as the dense
+    references greens.green_weight_matrix and companion_weight_matrix.
+    The solver itself applies the stacked operator of
+    greens.kernel_operators.
     """
     grid = pair.grid
     n = grid.n
     if green_w.shape != (n, n) or companion_w.shape != (n, n):
         raise DomainError("weight matrices do not match the pair's grid")
-    x = np.concatenate((pair.u.values, pair.v.values))
-    return _pair(grid, _step(spec, grid.nodes, x, green_w, companion_w))
+    f = _rhs_samples(spec, grid.nodes, pair.u.values, pair.v.values)
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _pair(grid, np.concatenate((green_w @ f, companion_w @ f)))
 
 
 # The contraction witness: the last _WITNESS plain-step ratios must each be
@@ -234,8 +219,7 @@ def _iterate(
     spec: ProblemSpec,
     grid: Grid,
     x: np.ndarray,
-    green_w: KernelOperator,
-    companion_w: KernelOperator,
+    weights: KernelOperator,
     tol: float,
     max_iter: int,
 ) -> tuple[SolutionPair, IterationReport]:
@@ -257,7 +241,7 @@ def _iterate(
     candidate = False
     while len(diffs) < max_iter:
         try:
-            gx = _step(spec, nodes, x, green_w, companion_w)
+            gx = _step(spec, nodes, x, weights)
             norm = float(np.max(np.abs(gx)))
         except EvaluationError:
             if not candidate:
@@ -351,20 +335,19 @@ def picard_solve(
     if max_iter < 1:
         raise DomainError(f"max_iter must be >= 1, got {max_iter}")
     grid = Grid(n)
-    green_w, companion_w = kernel_operators(spec.params, grid)
+    weights = kernel_operators(spec.params, grid)
     spec = ProblemSpec(spec.params, fold_invariants(spec.rhs, grid.nodes))
-    pair, report = _iterate(spec, grid, np.zeros(2 * n), green_w, companion_w, tol, max_iter)
+    pair, report = _iterate(spec, grid, np.zeros(2 * n), weights, tol, max_iter)
     if report.iterations == 1:
         seed = np.full(2 * n, _PROBE_SEED)
-        pair, report = _iterate(spec, grid, seed, green_w, companion_w, tol, max_iter)
+        pair, report = _iterate(spec, grid, seed, weights, tol, max_iter)
     return pair, report
 
 
 def linear_solve(params: ProblemParams, y: GridFunction) -> SolutionPair:
     """Solve the linear problem D^alpha u = y by one weight application."""
     grid = y.grid
-    green_w, companion_w = kernel_operators(params, grid)
-    return _pair(grid, _apply_pair(green_w, companion_w, y.values))
+    return _pair(grid, kernel_operators(params, grid) @ y.values)
 
 
 def _grid_derivative(values: np.ndarray, h: float) -> np.ndarray:

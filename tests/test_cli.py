@@ -27,7 +27,7 @@ tol = 1e-10
 
 def write_config(tmp_path, text=EXAMPLE_LINES, name="problem.cfg"):
     path = tmp_path / name
-    path.write_text(text)
+    path.write_text(text, encoding="utf-8")
     return str(path)
 
 
@@ -47,7 +47,7 @@ def test_parse_config_example(tmp_path):
     assert cfg.max_iter == 200  # default
     assert cfg.k == pytest.approx(1.0 / 11.0)
     assert cfg.growth is None
-    assert cfg.output_dir == "."
+    assert cfg.output_dir is None
 
 
 def test_parse_config_defaults(tmp_path):
@@ -84,6 +84,11 @@ def test_parse_config_errors(tmp_path):
         ("alpha = oops\nbeta = 0.5\nxi = 0.5\nrhs = 1\n", "key 'alpha': expected a number, got 'oops'"),
         (base + "grid_n = 32\n", "grid_n must be >= 129, got 32"),
         (base + "grid_n = 1.5\n", "key 'grid_n': expected an integer, got '1.5'"),
+        # int() and float() would read these as 1029, 1290, 10.0 and 1e-10
+        (base + "grid_n = 1_029\n", "key 'grid_n': expected an integer, got '1_029'"),
+        (base + "grid_n = \u0661\u0662\u0669\u0660\n", "key 'grid_n': expected an integer, got '\u0661\u0662\u0669\u0660'"),
+        (base + "k = 1_0\n", "key 'k': expected a number, got '1_0'"),
+        (base + "tol = 1e-1_0\n", "key 'tol': expected a number, got '1e-1_0'"),
         (base + "tol = 0.5\n", "tol must lie in (0, 1e-2], got 0.5"),
         (base + "tol = inf\n", "key 'tol': value must be finite, got 'inf'"),
         (base + "max_iter = 0\n", "max_iter must be >= 1, got 0"),
@@ -289,6 +294,26 @@ def test_certify_report(tmp_path, capsys):
     assert abs(float(printed["gstar_paper_bound"]) - 3.276959407) <= 1e-9
     assert printed["r"] == "none"
     assert printed["exists"] == "false"
+
+
+@pytest.mark.parametrize(
+    "line, written",
+    [("output_dir = .\n", True), ("output_dir = ./\n", True), ("", False)],
+    ids=("dot", "dot-slash", "no-key"),
+)
+def test_certify_writes_a_file_when_output_dir_is_given(tmp_path, monkeypatch, capsys, line, written):
+    # an explicit "." is a directory like any other; only no key means stdout
+    # only, while the commands that always write fall back to "."
+    monkeypatch.chdir(tmp_path)
+    cfg = write_config(tmp_path, "alpha = 1.7\nbeta = 0.5\nxi = 0.5\nrhs = 1\nk = 0.0\n" + line)
+    assert main(["certify", "--config", cfg]) == 0
+    printed = capsys.readouterr().out
+    cert = tmp_path / "certificate.txt"
+    assert cert.exists() == written
+    if written:
+        assert cert.read_text() == printed
+    assert main(["green", "--config", cfg, "--mt", "2", "--ms", "2"]) == 0
+    assert (tmp_path / "green.csv").exists()
 
 
 def test_certify_no_reproduction_line_off_example(tmp_path, capsys):

@@ -17,11 +17,7 @@ from fracbvp import (
     gamma,
     kernel_operators,
 )
-from fracbvp.fracops import (
-    left_kernel_toeplitz,
-    lower_toeplitz_apply,
-    toeplitz_spectrum,
-)
+from fracbvp.fracops import left_kernel_toeplitz
 
 from conftest import left_moments_row
 
@@ -211,8 +207,8 @@ def test_right_kernel_moments_total_mass():
 def test_indicator_moments_trapezoid():
     # the indicator part of the companion operator is the trapezoid rule
     g = Grid(9)
-    h = kernel_operators(ProblemParams(1.5, 0.5, 0.5), g)[1]
-    rows = KernelOperator(h.column, h.first, ()).dense()
+    op = kernel_operators(ProblemParams(1.5, 0.5, 0.5), g)
+    rows = KernelOperator(op.column[1], op.first[1], ()).dense()
     w = rows[4]
     assert abs(w.sum() - g.nodes[4]) <= 1e-15
     assert w[0] == pytest.approx(g.h / 2)
@@ -221,19 +217,19 @@ def test_indicator_moments_trapezoid():
     assert np.all(rows[0] == 0.0)
 
 
-def test_lower_toeplitz_apply_matches_convolution():
+def test_kernel_operator_matches_convolution():
     # 2n - 2 lands on, above and below a power of two across these sizes
     rng = np.random.default_rng(5)
     for n in (1, 2, 3, 4, 5, 6, 64, 513, 514, 1000, 8193):
         c, x = rng.uniform(-1, 1, size=n), rng.uniform(-1, 1, size=n)
         want = np.convolve(c, x)[:n]
-        got = lower_toeplitz_apply(c, x)
+        got = KernelOperator(c, c, ()) @ x
         assert np.max(np.abs(got - want)) <= 1e-13 * n
-        assert np.array_equal(lower_toeplitz_apply(c, x, toeplitz_spectrum(c)), got)
 
 
 def test_kernel_operator_apply_is_one_fft_pair(example_params, monkeypatch):
-    op = kernel_operators(example_params, Grid(8193))[0]
+    # G's and H's blocks share the forward transform of x
+    op = kernel_operators(example_params, Grid(8193))
     calls = []
     for name in ("rfft", "irfft"):
         real = getattr(np.fft, name)
@@ -244,7 +240,17 @@ def test_kernel_operator_apply_is_one_fft_pair(example_params, monkeypatch):
 
         monkeypatch.setattr(np.fft, name, counted)
     op @ np.ones(8193)
-    assert sorted(calls) == [("irfft", 16384), ("rfft", 16384)]
+    assert sorted(calls) == [("irfft", 16384), ("irfft", 16384), ("rfft", 16384)]
+
+
+def test_kernel_operator_checks_the_input_length(example_params):
+    op = kernel_operators(example_params, Grid(129))
+    for bad in (np.ones(128), np.ones(258), np.ones((2, 129))):
+        with pytest.raises(DomainError, match=rf"length 129, got shape \({len(bad)},"):
+            op @ bad
+    single = KernelOperator(np.ones(4), np.ones(4), ())
+    with pytest.raises(DomainError, match=r"length 4, got shape \(5,\)"):
+        single @ np.ones(5)
 
 
 def test_caputo_grid_kills_constants():

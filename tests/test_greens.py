@@ -4,7 +4,7 @@ import itertools
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import fracbvp.fracops
@@ -211,10 +211,12 @@ def test_green_operator_reads_right_moments_off_its_toeplitz_data(monkeypatch):
                     (-sing, np.append(first_ab[-1], column_ab[-2::-1])),
                 ),
             )
-            got = kernel_operators(q, g)[0]
-            assert np.array_equal(got.dense(), parent.dense())
+            got = kernel_operators(q, g)
+            assert np.array_equal(got.dense()[:n], parent.dense())
+            # G's factors, in G's rows only
             for (gl, gr), (pl, pr) in zip(got.factors, parent.factors):
-                assert np.array_equal(gl, pl) and np.array_equal(gr, pr)
+                assert np.array_equal(gl[:n], pl) and np.array_equal(gr, pr)
+                assert not np.any(gl[n:])
 
 
 @st.composite
@@ -247,15 +249,29 @@ def test_operator_matches_dense(p, n, seed):
     # near beta = 0 with xi -> 1 the two rank-1 terms are each ~1/(1-xi) and
     # cancel to O(1), so any two summation orders, the dense one included,
     # differ by eps/(1-xi) relative to the result.
+    # Each kernel's block is measured against its own terms.
     f = np.random.default_rng(seed).uniform(-1.0, 1.0, size=n)
     g = Grid(n)
-    for op in kernel_operators(p, g):
-        assert op.shape == (n, n)
-        terms = KernelOperator(np.abs(op.column), np.abs(op.first), ()).dense() @ np.abs(f)
-        for left, right in op.factors:
-            terms += np.abs(left) * (np.abs(right) @ np.abs(f))
-        err = np.max(np.abs(op @ f - op.dense() @ f))
-        assert err <= 1e-13 * np.max(terms)
+    op = kernel_operators(p, g)
+    assert op.shape == (2 * n, n)
+    terms = KernelOperator(np.abs(op.column), np.abs(op.first), ()).dense() @ np.abs(f)
+    for left, right in op.factors:
+        terms += np.abs(left) * (np.abs(right) @ np.abs(f))
+    err = np.abs(op @ f - op.dense() @ f).reshape(2, n).max(axis=1)
+    assert np.all(err <= 1e-13 * terms.reshape(2, n).max(axis=1))
+
+
+@settings(max_examples=40, deadline=None)
+@given(p=_box_params(), n=st.sampled_from((2, 3, 129, 513)))
+@example(p=ProblemParams(1.5, 0.5, 0.5), n=2)
+@example(p=ProblemParams(1.5, 0.5, 0.5), n=3)
+@example(p=ProblemParams(1.5, 0.5, 0.5), n=129)
+@example(p=ProblemParams(1.5, 0.5, 0.5), n=513)
+def test_stacked_operator_is_the_two_dense_references(p, n):
+    # G's rows over H's; the other block's factors add zeros
+    g = Grid(n)
+    want = np.vstack((green_weight_matrix(p, g), companion_weight_matrix(p, g)))
+    assert np.array_equal(kernel_operators(p, g).dense(), want)
 
 
 @settings(max_examples=60, deadline=None)
@@ -271,12 +287,12 @@ def test_operator_row_sums_match_closed_form(p, n):
     ratio = xi / (gamma(a) * (1.0 - xi))
     sing = gamma(2.0 - b) * (xi + (1.0 - xi) * t) / (gamma(a - b) * (1.0 - xi))
     comp = gamma(2.0 - b) / (gamma(3.0 - a) * gamma(a - b)) * t ** (2.0 - a)
-    green_op, companion_op = kernel_operators(p, g)
-    for op, terms in (
-        (green_op, (t**a / gamma(a + 1.0), ratio / a * ones, -sing / (a - b))),
-        (companion_op, (t, -comp / (a - b))),
+    green_sums, companion_sums = np.split(kernel_operators(p, g) @ ones, 2)
+    for sums, terms in (
+        (green_sums, (t**a / gamma(a + 1.0), ratio / a * ones, -sing / (a - b))),
+        (companion_sums, (t, -comp / (a - b))),
     ):
-        err = np.max(np.abs(op @ ones - sum(terms)))
+        err = np.max(np.abs(sums - sum(terms)))
         assert err <= 1e-14 * np.max(sum(np.abs(term) for term in terms))
 
 

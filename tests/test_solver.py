@@ -23,7 +23,7 @@ from fracbvp import (
     residual,
 )
 from fracbvp.errors import EvaluationError
-from fracbvp import solver
+from fracbvp import greens, solver
 from fracbvp.greens import companion_weight_matrix, green_weight_matrix, kernel_operators
 from fracbvp.solver import apply_T, pair_distance, pair_norm, zero_pair
 
@@ -258,12 +258,12 @@ def test_picard_sweeps_walk_unmasked_and_fold_t_terms_once(example_params, src, 
 
 @pytest.mark.parametrize("n", [129, 513, 8193])
 def test_shared_transform_matches_separate_matmuls(example_params, n):
+    # the stacked operator's blocks give what each kernel's own operator gives
     g = Grid(n)
     y = GridFunction(g, np.cos(3.0 * g.nodes) + np.sqrt(g.nodes) - 0.3)
     pair = linear_solve(example_params, y)
-    gw, hw = kernel_operators(example_params, g)
-    assert np.array_equal(pair.u.values, gw @ y.values)
-    assert np.array_equal(pair.v.values, hw @ y.values)
+    for values, terms in ((pair.u.values, greens._green_terms), (pair.v.values, greens._companion_terms)):
+        assert np.array_equal(values, greens._operator((terms(example_params),), g) @ y.values)
 
 
 def test_a_sweep_transforms_f_once(example_spec, monkeypatch):
@@ -295,16 +295,16 @@ GUARD_RHS = "{c}*u + 0.05*sin(v) + cos(3*t)"
 
 
 def plain_picard(spec, n, tol):
-    """Plain fixed-point iteration by apply_T, from the zero pair."""
+    """Plain fixed-point iteration by the solver's own step, from the zero pair."""
     g = Grid(n)
-    gw, hw = kernel_operators(spec.params, g)
-    pair = zero_pair(g)
+    weights = kernel_operators(spec.params, g)
+    x = np.zeros(2 * n)
     for _ in range(5000):
-        nxt = apply_T(spec, pair, gw, hw)
-        step = pair_distance(nxt, pair)
-        pair = nxt
+        nxt = solver._step(spec, g.nodes, x, weights)
+        step = np.max(np.abs(nxt - x))
+        x = nxt
         if step <= tol:
-            return pair
+            return solver._pair(g, x)
     raise AssertionError("plain iteration did not converge")
 
 
@@ -342,7 +342,7 @@ def test_slow_contraction_is_accelerated(example_params):
     assert any(report.accelerated) and not report.accelerated[0]
     assert 0.8 <= report.observed_ratio < 1.0
     g = pair.grid
-    gw, hw = kernel_operators(example_params, g)
+    gw, hw = green_weight_matrix(example_params, g), companion_weight_matrix(example_params, g)
     assert pair_distance(pair, apply_T(spec, pair, gw, hw)) <= 1e-10
 
 
@@ -410,6 +410,6 @@ def test_accelerated_solve_matches_plain_picard(alpha, beta, xi, q, share, sign,
     ref = plain_picard(spec, 513, 1e-13)
     scale = max(1.0, pair_norm(ref))
     assert pair_distance(pair, ref) <= 1e-8 * scale
-    gw, hw = kernel_operators(params, g)
+    gw, hw = green_weight_matrix(params, g), companion_weight_matrix(params, g)
     assert pair_distance(pair, apply_T(spec, pair, gw, hw)) <= 1e-10
     assert len(report.accelerated) == report.iterations
