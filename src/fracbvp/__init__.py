@@ -27,13 +27,10 @@ from .fracops import (
     GridFunction,
     KernelOperator,
     caputo_grid,
-    caputo_monomial,
-    frac_integral_monomial,
     gamma,
 )
 from .greens import (
     ProblemParams,
-    companion_eval,
     companion_weight_matrix,
     green_branch_value,
     green_eval,
@@ -50,10 +47,8 @@ from .solver import (
     apply_T,
     linear_solve,
     pair_distance,
-    pair_norm,
     picard_solve,
     residual,
-    zero_pair,
 )
 
 __version__ = "0.1.0"
@@ -80,14 +75,11 @@ __all__ = [
     "UnknownIdentifierError",
     "apply_T",
     "caputo_grid",
-    "caputo_monomial",
     "certify",
-    "companion_eval",
     "companion_weight_matrix",
     "contraction_constant",
     "evaluate",
     "existence_radius",
-    "frac_integral_monomial",
     "gamma",
     "green_branch_value",
     "green_eval",
@@ -98,11 +90,9 @@ __all__ = [
     "linear_solve",
     "lipschitz_estimate",
     "pair_distance",
-    "pair_norm",
     "parse",
     "picard_solve",
     "residual",
     "theta",
     "to_source",
-    "zero_pair",
 ]

@@ -139,9 +139,8 @@ def certify(
     params = spec.params
     gs = gstar(params, m=m)
     estimated = k is None
-    if estimated:
-        k = lipschitz_estimate(spec.rhs)
-    assert k is not None
+    # a Python float k keeps d a float and unique a bool, as json.dumps needs
+    k = float(lipschitz_estimate(spec.rhs) if k is None else k)
     d = contraction_constant(params, k, gs)
     r = existence_radius(params, growth, gs) if growth is not None else None
     return Certificate(

@@ -249,18 +249,15 @@ def cmd_solve(config: Config, out_dir: str) -> int:
 
 
 def _certificate_lines(cert: Certificate) -> list[str]:
-    lines = [
-        f"gstar_value={cert.gstar_value:.12f}",
-        f"gstar_paper_bound={cert.gstar_paper_bound:.12f}",
-        f"theta={cert.theta:.12f}",
-        f"k={cert.k:.12f}",
-        f"d={cert.d:.12f}",
-        f"unique={_bool_text(cert.unique)}",
-        f"r={'none' if cert.r is None else f'{cert.r:.12f}'}",
-        f"exists={_bool_text(cert.exists)}",
-        f"estimated_k={_bool_text(cert.estimated_k)}",
-    ]
-    return lines
+    """One ``key=value`` line per :meth:`Certificate.as_dict` entry: floats
+    to 12 decimals, bools as true/false, a missing radius as none."""
+
+    def text(value: object) -> str:
+        if value is None:
+            return "none"
+        return _bool_text(value) if isinstance(value, bool) else f"{value:.12f}"
+
+    return [f"{key}={text(value)}" for key, value in cert.as_dict().items()]
 
 
 def _is_example_params(params: ProblemParams) -> bool:
@@ -340,11 +337,8 @@ def cmd_example() -> int:
         f"iterations={report.iterations}",
         f"final_diff={_fmt(report.diffs[-1])}",
         f"observed_ratio={_fmt(report.observed_ratio)}",
-        f"differential_residual={_fmt(res.differential)}",
-        f"boundary_value_defect={_fmt(res.boundary_value)}",
-        f"boundary_fractional_defect={_fmt(res.boundary_fractional)}",
-        f"consistency_defect={_fmt(res.consistency)}",
     ]
+    out += [f"{key}={_fmt(value)}" for key, value in res.as_dict().items()]
     print("\n".join(out))
     return 0
 

@@ -1,4 +1,4 @@
-"""Fractional integral and derivative operators, exact on monomials and grids.
+"""Fractional integral and derivative operators on uniform grids.
 
 The continuous operators are the Riemann-Liouville integral
 
@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -82,40 +83,6 @@ class GridFunction:
         vals = vals.copy()
         vals.setflags(write=False)
         object.__setattr__(self, "values", vals)
-
-
-def frac_integral_monomial(alpha: float, p: float, t: float) -> float:
-    """Closed form I^alpha applied to s^p:
-
-        I^a t^p = Gamma(p+1)/Gamma(p+1+a) * t^(p+a).
-    """
-    if not (math.isfinite(alpha) and alpha > 0.0):
-        raise DomainError(f"integral order must be > 0, got {alpha!r}")
-    if not (math.isfinite(p) and p >= 0.0):
-        raise DomainError(f"monomial power must be >= 0, got {p!r}")
-    if not (0.0 <= t <= 1.0):
-        raise DomainError(f"evaluation point must lie in [0, 1], got {t!r}")
-    return gamma(p + 1.0) / gamma(p + 1.0 + alpha) * t ** (p + alpha)
-
-
-def caputo_monomial(gamma_ord: float, p: float, t: float) -> float:
-    """Closed form Caputo derivative of s^p for orders in (0, 1]:
-
-        D^g t^p = Gamma(p+1)/Gamma(p+1-g) * t^(p-g)   for p >= 1,
-        D^g 1   = 0.
-
-    Powers in (0, 1) are rejected: there the derivative is unbounded at the
-    origin and the closed form above does not apply on the whole interval.
-    """
-    if not (math.isfinite(gamma_ord) and 0.0 < gamma_ord <= 1.0):
-        raise DomainError(f"derivative order must lie in (0, 1], got {gamma_ord!r}")
-    if not math.isfinite(p) or p < 0.0 or (0.0 < p < 1.0):
-        raise DomainError(f"monomial power must be 0 or >= 1, got {p!r}")
-    if not (0.0 <= t <= 1.0):
-        raise DomainError(f"evaluation point must lie in [0, 1], got {t!r}")
-    if p == 0.0:
-        return 0.0
-    return gamma(p + 1.0) / gamma(p + 1.0 - gamma_ord) * t ** (p - gamma_ord)
 
 
 def left_kernel_toeplitz(alpha: float, grid: Grid) -> tuple[np.ndarray, np.ndarray]:
@@ -217,6 +184,29 @@ class KernelOperator:
         return out
 
 
+def _caputo_l1(gamma_ord: float, grid: Grid) -> Callable[[np.ndarray], np.ndarray]:
+    """The L1 scheme of :func:`caputo_grid` on ``grid``, as a map from
+    samples to derivative values; its weights are built once, so one map
+    serves any number of inputs."""
+    if not (math.isfinite(gamma_ord) and 0.0 < gamma_ord < 1.0):
+        raise DomainError(f"derivative order must lie in (0, 1), got {gamma_ord!r}")
+    n = grid.n
+    if n < 3:
+        raise DomainError(f"L1 scheme needs at least 3 nodes, got {n}")
+    h = grid.h
+    k = np.arange(n - 1, dtype=float)
+    a = (k + 1.0) ** (1.0 - gamma_ord) - k ** (1.0 - gamma_ord)
+    weights = KernelOperator(a, a, ())
+
+    def apply(values: np.ndarray) -> np.ndarray:
+        conv = weights @ np.diff(values)
+        out = np.zeros(n)
+        out[1:] = conv * h ** (-gamma_ord) / gamma(2.0 - gamma_ord)
+        return out
+
+    return apply
+
+
 def caputo_grid(gamma_ord: float, u: GridFunction) -> GridFunction:
     """L1 discretization of the Caputo derivative of order gamma_ord in (0, 1).
 
@@ -225,15 +215,4 @@ def caputo_grid(gamma_ord: float, u: GridFunction) -> GridFunction:
     a_k = (k+1)^(1-g) - k^(1-g) applied to first differences.  The value at
     t_0 is 0 by convention (the operator annihilates the initial value).
     """
-    if not (math.isfinite(gamma_ord) and 0.0 < gamma_ord < 1.0):
-        raise DomainError(f"derivative order must lie in (0, 1), got {gamma_ord!r}")
-    n = u.grid.n
-    if n < 3:
-        raise DomainError(f"L1 scheme needs at least 3 nodes, got {n}")
-    h = u.grid.h
-    k = np.arange(n - 1, dtype=float)
-    a = (k + 1.0) ** (1.0 - gamma_ord) - k ** (1.0 - gamma_ord)
-    conv = KernelOperator(a, a, ()) @ np.diff(u.values)
-    out = np.zeros(n)
-    out[1:] = conv * h ** (-gamma_ord) / gamma(2.0 - gamma_ord)
-    return GridFunction(u.grid, out)
+    return GridFunction(u.grid, _caputo_l1(gamma_ord, u.grid)(u.values))

@@ -46,7 +46,12 @@ least A > 0.  So integral_0^1 |G(t, s)| ds has a closed form in the one
 sign change s*(t), which is how :func:`gstar` scans all t in one array
 pass.
 
-On the left branch, g(0) > 0 > g(t) with t < 1, the root is found in the
+When g(t) >= 0 the sign change lies on the right branch, where g =
+r^beta A - B(t), so s* = 1 - (B(t)/A)^(1/beta).  At t = 1 the left branch
+is g = r^beta (1/Gamma(alpha) + A) - B(1), so s* = 1 -
+(B(1)/(1/Gamma(alpha) + A))^(1/beta).  When g(0) <= 0, s* = 0.
+
+Otherwise g(0) > 0 > g(t) with t < 1, and the root is found in the
 variable x = (t-s)/(1-s), which runs from t at s = 0 down to 0 at s = t,
 and then z = -(alpha-1) ln x >= 0, so that x^(alpha-1) = e^(-z) and
 1 - s = (1-t)/(1-x).  Multiplying g by (1-x)^beta > 0 gives
@@ -61,7 +66,9 @@ at s = t, which slows Newton's method in s, is gone in z.  For a convex,
 decreasing F, a Newton step from a point with F(z) >= 0 lands on the zero
 of the tangent, which lies below F, hence at or below the root: the
 iterates increase monotonically to the root and never overshoot (Kelley,
-Solving Nonlinear Equations with Newton's Method, SIAM 2003, ch. 1).
+Solving Nonlinear Equations with Newton's Method, SIAM 2003, ch. 1).  So
+no bracket is needed, and the iteration stops when no iterate increases
+any more.
 """
 
 from __future__ import annotations
@@ -166,21 +173,6 @@ def _value(terms, t: float, s):
     return total
 
 
-def _eval(terms, name: str, t: float, s: float) -> float:
-    """Pointwise value of a term table, with t and s checked against [0, 1].
-
-    Raises :class:`SingularityError` at s = 1 when a right term has order
-    q < 1, where the kernel is unbounded.
-    """
-    t, s = float(t), float(s)
-    for var, x in (("t", t), ("s", s)):
-        if not (0.0 <= x <= 1.0):
-            raise DomainError(f"{var} must lie in [0, 1], got {x!r}")
-    if s == 1.0 and any(kind == "right" and q < 1.0 for kind, q, _ in terms):
-        raise SingularityError(f"{name} is unbounded at s = 1 for alpha - beta < 1")
-    return float(_value(terms, t, s))
-
-
 def _primitive(terms, t: np.ndarray, x):
     """P(t, x) = integral_0^x of a table's left and right terms, for arrays t.
 
@@ -210,23 +202,18 @@ def green_branch_value(p: ProblemParams, t: float, s, left: bool):
 
 
 def green_eval(p: ProblemParams, t: float, s: float) -> float:
-    """Pointwise kernel value G(t, s).
+    """Pointwise kernel value G(t, s), with t and s checked against [0, 1].
 
     Raises :class:`SingularityError` at s = 1 when alpha - beta < 1, where
     the kernel is unbounded.
     """
-    return _eval(_green_terms(p), "kernel", t, s)
-
-
-def companion_eval(p: ProblemParams, t: float, s: float) -> float:
-    """Pointwise companion kernel value H(t, s).
-
-    The indicator part covers s in [0, t]; at t = 0 that interval carries no
-    mass, so the indicator is taken empty there and H(0, s) = 0 whenever
-    alpha < 2.  Raises :class:`SingularityError` at s = 1 when
-    alpha - beta < 1.
-    """
-    return _eval(_companion_terms(p), "companion kernel", t, s)
+    t, s = float(t), float(s)
+    for var, x in (("t", t), ("s", s)):
+        if not (0.0 <= x <= 1.0):
+            raise DomainError(f"{var} must lie in [0, 1], got {x!r}")
+    if s == 1.0 and p.alpha - p.beta < 1.0:
+        raise SingularityError("kernel is unbounded at s = 1 for alpha - beta < 1")
+    return float(_value(_green_terms(p), t, s))
 
 
 def kernel_operators(p: ProblemParams, grid: Grid) -> KernelOperator:
@@ -271,26 +258,8 @@ def gstar_coarse_bound(p: ProblemParams) -> float:
     return (1.0 / gamma(a + 1.0) + gamma(2.0 - b) / gamma(a - b + 1.0)) / (1.0 - p.xi)
 
 
-def green_sign_change(p: ProblemParams, t) -> np.ndarray:
-    """The point s* in [0, 1] where G(t, .) changes sign, for an array of t.
-
-    G(t, s) >= 0 for s <= s* and G(t, s) <= 0 for s >= s* (see the module
-    docstring for the proof), with s* = 0 when G(t, .) is nowhere
-    positive.  On the right branch (g(t) >= 0) s* = 1 - (B(t)/A)^(1/beta),
-    and at t = 1, where the left branch is g = r^beta (1/Gamma(alpha) + A)
-    - B(1), s* = 1 - (B(1)/(1/Gamma(alpha) + A))^(1/beta).  Elsewhere on the
-    left, g(0) > 0 > g(t), s* solves F(z) = 0 for the convex, strictly
-    decreasing F of the module docstring, by Newton's method run on all
-    such t at once.  Newton's step from a point where F > 0 lands on the
-    zero of the tangent, which lies below F, so the iterates increase and
-    stay at or below the root: no bracket is needed, and the loop stops
-    when no iterate increases any more.
-    """
-    return _sign_change(p, np.asarray(t, dtype=float), _green_terms(p))
-
-
-# Guard on the Newton passes of _sign_change; the loop ends when no iterate
-# moves, after 7-10 passes typically and under 20 at the parameter edges.
+# Guard on the Newton passes of green_sign_change; the loop ends when no
+# iterate moves, after 7-10 passes typically and under 20 at the parameter edges.
 _NEWTON_MAX_PASSES = 64
 
 
@@ -308,10 +277,19 @@ def _convex_residual(z, scale, ga, ratio, sing, b, q):
     return f, df
 
 
-def _sign_change(p: ProblemParams, t: np.ndarray, terms) -> np.ndarray:
-    """:func:`green_sign_change`, with Gamma(alpha), A and B(t) from G's terms."""
+def green_sign_change(p: ProblemParams, t) -> np.ndarray:
+    """The point s* in [0, 1] where G(t, .) changes sign, for an array of t.
+
+    G(t, s) >= 0 for s <= s* and G(t, s) <= 0 for s >= s*, with s* = 0 when
+    G(t, .) is nowhere positive.  s* is closed form on the right branch
+    (g(t) >= 0) and at t = 1; elsewhere on the left it is the root of F,
+    found by Newton's method run on all such t at once.  The lemma, the
+    closed forms and the reason no bracket is needed are in the module
+    docstring.
+    """
+    t = np.asarray(t, dtype=float)
     a, b = p.alpha, p.beta
-    _, (_, _, ratio), (_, _, minus_sing) = terms
+    _, (_, _, ratio), (_, _, minus_sing) = _green_terms(p)
     ga = gamma(a)
     t1 = np.atleast_1d(t)
     sing = -minus_sing(t1)
@@ -352,7 +330,7 @@ def green_abs_mass(p: ProblemParams, t) -> np.ndarray:
     t = np.asarray(t, dtype=float)
     terms = _green_terms(p)
     with np.errstate(divide="ignore"):  # log1p(-1) = -inf, where expm1 gives -1
-        return 2.0 * _primitive(terms, t, _sign_change(p, t, terms)) - _primitive(terms, t, 1.0)
+        return 2.0 * _primitive(terms, t, green_sign_change(p, t)) - _primitive(terms, t, 1.0)
 
 
 def gstar(p: ProblemParams, m: int = 513, *, n: int | None = None) -> float:
@@ -360,21 +338,7 @@ def gstar(p: ProblemParams, m: int = 513, *, n: int | None = None) -> float:
 
     Each scan value is the closed-form mass of :func:`green_abs_mass`,
     exact up to roundoff because G(t, .) changes sign at most once, from +
-    to -.  Proof: with r = 1 - s, g(s) = G(t, s) / r^(alpha-beta-1) equals
-
-        r^beta [((t-s)_+ / r)^(alpha-1) / Gamma(alpha) + A] - B(t)
-
-    on both branches, A = xi/(Gamma(alpha)(1-xi)) > 0.  r^beta strictly
-    decreases, (t-s)/(1-s) has derivative (t-1)/(1-s)^2 <= 0, and the
-    bracket is at least A > 0, so g strictly decreases on [0, 1).
-
-    s* is closed form on the right branch and at t = 1; elsewhere on the
-    left it is the root of F(z) = (1-t)^beta (e^(-z)/Gamma(alpha) + A)
-    - B(t) w^beta, w = -expm1(-z/(alpha-1)), z = -(alpha-1) ln((t-s)/(1-s)).
-    F is convex (e^(-z) is convex, w^beta concave) and strictly decreasing,
-    so Newton's method from a z with F >= 0 increases monotonically to the
-    root: all left-branch scan nodes are solved together, typically in 7-10
-    array passes.
+    to - (see the module docstring).
 
     The result is the maximum over the scan nodes, a lower bound on the
     supremum.  ``n`` is ignored: it is accepted only so that callers that

@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import DivergenceError, DomainError, EvaluationError
 from .expr import Expr, evaluate, fold_invariants
-from .fracops import Grid, GridFunction, KernelOperator, caputo_grid
+from .fracops import Grid, GridFunction, KernelOperator, _caputo_l1, caputo_grid
 from .greens import ProblemParams, kernel_operators
 
 DIVERGENCE_CAP = 1e8
@@ -90,19 +90,10 @@ class ResidualReport:
         }
 
 
-def zero_pair(grid: Grid) -> SolutionPair:
-    z = np.zeros(grid.n)
-    return SolutionPair(GridFunction(grid, z), GridFunction(grid, z))
-
-
 def pair_distance(a: SolutionPair, b: SolutionPair) -> float:
     du = float(np.max(np.abs(a.u.values - b.u.values)))
     dv = float(np.max(np.abs(a.v.values - b.v.values)))
     return max(du, dv)
-
-
-def pair_norm(a: SolutionPair) -> float:
-    return max(float(np.max(np.abs(a.u.values))), float(np.max(np.abs(a.v.values))))
 
 
 def _rhs_samples(spec: ProblemSpec, nodes: np.ndarray, u: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -377,8 +368,9 @@ def residual(spec: ProblemSpec, pair: SolutionPair) -> ResidualReport:
 
     du = _grid_derivative(u, h)
     if a < 2.0:
-        d_alpha = caputo_grid(a - 1.0, GridFunction(grid, du)).values
-        d_reduced = caputo_grid(a - 1.0, pair.u).values
+        reduced = _caputo_l1(a - 1.0, grid)  # one weight build for both inputs
+        d_alpha = reduced(GridFunction(grid, du).values)
+        d_reduced = reduced(u)
     else:
         d_alpha = np.zeros(grid.n)
         d_alpha[1:-1] = (u[2:] - 2.0 * u[1:-1] + u[:-2]) / (h * h)

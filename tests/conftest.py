@@ -10,10 +10,19 @@ import math
 import numpy as np
 import pytest
 
-from fracbvp import ProblemParams, ProblemSpec, gamma, parse, picard_solve
+from fracbvp import (
+    DomainError,
+    GridFunction,
+    ProblemParams,
+    ProblemSpec,
+    SolutionPair,
+    gamma,
+    parse,
+    picard_solve,
+)
 from fracbvp.errors import EvaluationError
 from fracbvp.expr import BinOp, Call, Neg, Num, Var
-from fracbvp.greens import green_branch_value
+from fracbvp.greens import _companion_terms, _value, green_branch_value
 
 EXAMPLE_RHS = "sin(t)^2/(11*(exp(2*t)+3*exp(t)+1))*(3+t+5*u+v)"
 EXAMPLE_K = 1.0 / 11.0
@@ -33,6 +42,45 @@ def example_spec(example_params):
 def example_solution(example_spec):
     # converged pair plus iteration report, reused by several tests
     return picard_solve(example_spec, 513, tol=1e-10)
+
+
+def frac_integral_monomial(alpha, p, t):
+    """Closed form I^alpha applied to s^p:
+
+        I^a t^p = Gamma(p+1)/Gamma(p+1+a) * t^(p+a).
+    """
+    return gamma(p + 1.0) / gamma(p + 1.0 + alpha) * t ** (p + alpha)
+
+
+def caputo_monomial(gamma_ord, p, t):
+    """Closed form Caputo derivative of s^p for orders in (0, 1]:
+
+        D^g t^p = Gamma(p+1)/Gamma(p+1-g) * t^(p-g)   for p >= 1,
+        D^g 1   = 0.
+
+    Powers in (0, 1) are rejected: there the derivative is unbounded at the
+    origin and the closed form above does not apply on the whole interval.
+    """
+    if 0.0 < p < 1.0:
+        raise DomainError(f"monomial power must be 0 or >= 1, got {p!r}")
+    if p == 0.0:
+        return 0.0
+    return gamma(p + 1.0) / gamma(p + 1.0 - gamma_ord) * t ** (p - gamma_ord)
+
+
+def companion_eval(p, t, s):
+    """Companion kernel value H(t, s) at t, s in [0, 1], from the library's
+    term table; the indicator is empty at t = 0, so H(0, s) = 0 for alpha < 2."""
+    return float(_value(_companion_terms(p), float(t), float(s)))
+
+
+def zero_pair(grid):
+    z = np.zeros(grid.n)
+    return SolutionPair(GridFunction(grid, z), GridFunction(grid, z))
+
+
+def pair_norm(a):
+    return max(float(np.max(np.abs(a.u.values))), float(np.max(np.abs(a.v.values))))
 
 
 def left_moments_row(alpha, grid, i):

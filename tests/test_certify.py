@@ -1,5 +1,7 @@
 """Contraction constants, existence radii, certificate assembly."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -15,6 +17,7 @@ from fracbvp import (
     parse,
     theta,
 )
+from fracbvp.cli import _certificate_lines
 
 EXAMPLE_K = 1.0 / 11.0
 
@@ -141,3 +144,10 @@ def test_certificate_dict_shape(example_spec):
     }
     assert d["unique"] == (d["d"] < 1.0)
     assert d["exists"] == (d["r"] is not None)
+
+
+def test_numpy_k_gives_a_json_ready_certificate(example_spec):
+    cert = certify(example_spec, k=np.float64(EXAMPLE_K), m=33)
+    d = json.loads(json.dumps(cert.as_dict()))
+    assert d["unique"] is True and d["k"] == EXAMPLE_K
+    assert "unique=true" in _certificate_lines(cert)

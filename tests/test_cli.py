@@ -1,6 +1,7 @@
 """Config parsing, subcommand workflows, exit codes, output files."""
 
 import json
+import os
 import re
 import subprocess
 import sys
@@ -334,6 +335,26 @@ def test_certify_estimated_flag(tmp_path, capsys):
     assert printed["estimated_k"] == "true"
 
 
+def test_certify_affine_growth_with_estimated_k_stdout(tmp_path, capsys):
+    # a finite existence radius, a sampled k, and no reproduction line
+    text = (
+        "alpha = 1.7\nbeta = 0.5\nxi = 0.5\nrhs = 0.1*sin(u) + 0.05*v + 1\n"
+        "p_star = 1\npsi_kind = affine\npsi_a = 1\npsi_b = 0.1\n"
+    )
+    assert main(["certify", "--config", write_config(tmp_path, text)]) == 0
+    assert capsys.readouterr().out == (
+        "gstar_value=0.444737363973\n"
+        "gstar_paper_bound=2.903447298741\n"
+        "theta=1.896232964377\n"
+        "k=0.100000000058\n"
+        "d=0.379246593097\n"
+        "unique=true\n"
+        "r=2.339940124193\n"
+        "exists=true\n"
+        "estimated_k=true\n"
+    )
+
+
 def test_green_table_values(tmp_path, capsys):
     cfg = write_config(tmp_path)
     out = tmp_path / "g"
@@ -387,11 +408,16 @@ def test_example_command(capsys):
 def test_module_entry_point(tmp_path):
     # one subprocess smoke test of python -m dispatch
     cfg = write_config(tmp_path)
+    # the child imports the package under test, also when only pytest's
+    # pythonpath setting put it on sys.path
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
     proc = subprocess.run(
         [sys.executable, "-m", "fracbvp", "certify", "--config", cfg],
         capture_output=True,
         text=True,
         timeout=120,
+        env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.returncode == 0
     assert "unique=true" in proc.stdout

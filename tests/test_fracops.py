@@ -12,14 +12,12 @@ from fracbvp import (
     KernelOperator,
     ProblemParams,
     caputo_grid,
-    caputo_monomial,
-    frac_integral_monomial,
     gamma,
     kernel_operators,
 )
 from fracbvp.fracops import left_kernel_toeplitz
 
-from conftest import left_moments_row
+from conftest import caputo_monomial, frac_integral_monomial, left_moments_row
 
 
 def _left_rows(alpha, g):

@@ -16,7 +16,6 @@ from fracbvp import (
     ProblemParams,
     ProblemSpec,
     SingularityError,
-    companion_eval,
     companion_weight_matrix,
     gamma,
     green_eval,
@@ -30,7 +29,7 @@ from fracbvp import (
 from fracbvp.fracops import left_kernel_toeplitz
 from fracbvp.greens import green_abs_mass, green_branch_value, green_sign_change
 
-from conftest import left_moments_row, oracle_gstar, oracle_sign_change
+from conftest import companion_eval, left_moments_row, oracle_gstar, oracle_sign_change
 
 # frozen from a sign-change-exact evaluation at n = 2049, m = 513, cross
 # checked against a 400000-point midpoint rule (agreement 5.4e-10)
@@ -379,7 +378,7 @@ def test_kernel_changes_sign_once(p, t):
 def _oracle_mass(p, t, monkeypatch):
     # M(t) from the same closed form, but with the bisection root
     with monkeypatch.context() as patch:
-        patch.setattr(fracbvp.greens, "_sign_change", lambda q, tt, *coeffs: oracle_sign_change(q, tt))
+        patch.setattr(fracbvp.greens, "green_sign_change", oracle_sign_change)
         return green_abs_mass(p, t)
 
 

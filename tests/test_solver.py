@@ -15,6 +15,7 @@ from fracbvp import (
     ProblemParams,
     ProblemSpec,
     SolutionPair,
+    caputo_grid,
     expr,
     gamma,
     linear_solve,
@@ -25,7 +26,9 @@ from fracbvp import (
 from fracbvp.errors import EvaluationError
 from fracbvp import greens, solver
 from fracbvp.greens import companion_weight_matrix, green_weight_matrix, kernel_operators
-from fracbvp.solver import apply_T, pair_distance, pair_norm, zero_pair
+from fracbvp.solver import apply_T, pair_distance
+
+from conftest import pair_norm, zero_pair
 
 EXAMPLE_D = 4.0 / 11.0  # contraction constant of the worked example
 
@@ -191,6 +194,25 @@ def test_alpha_two_picard(example_spec):
     assert rep.differential <= 1e-5
     assert rep.boundary_value <= 1e-12
     assert rep.boundary_fractional <= 1e-4
+
+
+def test_residual_builds_the_reduced_l1_weights_once(example_spec, monkeypatch):
+    # two order-(alpha-1) inputs share one weight spectrum: 1 + 2 transforms,
+    # plus 2 for the order-beta derivative
+    pair, _ = picard_solve(example_spec, 8193, tol=1e-10)
+    calls = []
+    rfft = np.fft.rfft
+    monkeypatch.setattr(np.fft, "rfft", lambda *args, **kw: calls.append(1) or rfft(*args, **kw))
+    rep = residual(example_spec, pair)
+    monkeypatch.undo()
+    assert len(calls) == 5
+    # bit for bit what one caputo_grid call per derivative gives
+    grid, u, v = pair.grid, pair.u.values, pair.v.values
+    du = GridFunction(grid, solver._grid_derivative(u, grid.h))
+    f = solver._rhs_samples(example_spec, grid.nodes, u, v)
+    want = np.max(np.abs(caputo_grid(0.5, du).values[1:-1] - f[1:-1]))
+    assert rep.differential == want
+    assert rep.consistency == np.max(np.abs(caputo_grid(0.5, pair.u).values - v))
 
 
 def test_residual_grid_minimum(example_spec, example_solution):
