@@ -24,7 +24,6 @@ from .errors import (
     ConfigError,
     DivergenceError,
     DomainError,
-    EvaluationError,
     FracbvpError,
     ParseError,
 )
@@ -92,20 +91,26 @@ def _check(key: str, value: Any, label: str) -> Any:
     return value
 
 
-def _convert(path: str, key: str, text: str) -> Any:
-    """Convert ``text`` to ``key``'s kind and range-check it.
+def _number(key: str, text: str, label: str) -> Any:
+    """Read ``text`` as ``key``'s int or float kind, naming it ``label``.
 
     Numbers are plain ASCII: int() and float() would also take ``_``
     separators and non-ASCII digits, which are rejected here.
     """
     kind = _KEYS[key][0]
-    try:
-        if kind is not str and ("_" in text or not text.isascii()):
-            raise ValueError(text)
-        value = kind(text)
-    except ValueError:
-        expected = "an integer" if kind is int else "a number"
-        raise ConfigError(f"key {key!r}: expected {expected}, got {text!r}") from None
+    if "_" not in text and text.isascii():
+        try:
+            return kind(text)
+        except ValueError:
+            pass
+    expected = "an integer" if kind is int else "a number"
+    raise ConfigError(f"{label}: expected {expected}, got {text!r}")
+
+
+def _convert(path: str, key: str, text: str) -> Any:
+    """Convert ``text`` to ``key``'s kind and range-check it."""
+    kind = _KEYS[key][0]
+    value = text if kind is str else _number(key, text, f"key {key!r}")
     if kind is float and not math.isfinite(value):
         raise ConfigError(f"key {key!r}: value must be finite, got {text!r}")
     return _check(key, value, f"{path}: {key}")
@@ -195,18 +200,23 @@ def _trunc6(x: float) -> str:
 def _write_atomic(out_dir: str, name: str, text: str) -> None:
     """Write ``out_dir/name`` via a temp file beside it; no partial files.
 
-    Creates ``out_dir`` when it does not exist yet.
+    Creates ``out_dir`` when it does not exist yet.  A failure raises
+    OSError("cannot write <out_dir/name>: <reason>").
     """
-    os.makedirs(out_dir, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=out_dir, suffix=".tmp")
+    path = os.path.join(out_dir, name)
     try:
-        with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
-        os.replace(tmp, os.path.join(out_dir, name))
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+        os.makedirs(out_dir, exist_ok=True)
+        fd, tmp = tempfile.mkstemp(dir=out_dir, suffix=".tmp")
+        try:
+            with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
+                fh.write(text)
+            os.replace(tmp, path)
+        except BaseException:
+            if os.path.exists(tmp):
+                os.unlink(tmp)
+            raise
+    except OSError as exc:
+        raise OSError(f"cannot write {path}: {exc}") from exc
 
 
 def _solution_csv(grid_nodes: np.ndarray, u: np.ndarray, v: np.ndarray) -> str:
@@ -357,8 +367,9 @@ def _build_arg_parser() -> argparse.ArgumentParser:
     def add_common(p: argparse.ArgumentParser) -> None:
         p.add_argument("--config", required=True, help="path to a key=value config file")
         p.add_argument("--out", help="output directory (overrides output_dir)")
-        p.add_argument("--grid", type=int, help="grid size override")
-        p.add_argument("--tol", type=float, help="tolerance override")
+        # read by _apply_overrides with the config file's number rule
+        p.add_argument("--grid", help="grid size override")
+        p.add_argument("--tol", help="tolerance override")
 
     add_common(sub.add_parser("solve", help="run the fixed-point solver"))
     add_common(sub.add_parser("certify", help="compute a certificate"))
@@ -372,10 +383,9 @@ def _build_arg_parser() -> argparse.ArgumentParser:
 
 def _apply_overrides(config: Config, args: argparse.Namespace) -> Config:
     updates: dict[str, object] = {}
-    if args.grid is not None:
-        updates["grid_n"] = _check("grid_n", args.grid, "--grid")
-    if args.tol is not None:
-        updates["tol"] = _check("tol", args.tol, "--tol")
+    for key, flag, text in (("grid_n", "--grid", args.grid), ("tol", "--tol", args.tol)):
+        if text is not None:
+            updates[key] = _check(key, _number(key, text, flag), flag)
     return replace(config, **updates) if updates else config
 
 
@@ -398,7 +408,9 @@ def main(argv: Optional[list[str]] = None) -> int:
     except DivergenceError as exc:
         print(f"divergence: {exc}", file=sys.stderr)
         return 3
-    except (EvaluationError, FracbvpError) as exc:
+    except (FracbvpError, OSError) as exc:
+        # parse_config reports its own read errors, so an OSError here is
+        # an output write that failed
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -260,7 +260,9 @@ def _walk(e: Expr, env: dict[str, np.ndarray], fails: list | None) -> np.ndarray
     if isinstance(e, BinOp):
         a = _walk(e.left, env, fails)
         b = _walk(e.right, env, fails)
-        out = _BINARY[e.op](a, b)
+        # a square is a*a, which is correctly rounded; numpy's power loop is
+        # not, and is many times slower on negative bases
+        out = a * a if e.op == "^" and (b == 2.0).all() else _BINARY[e.op](a, b)
         if fails is not None:
             if e.op == "/":
                 _check(fails, b == 0.0, "division by zero")

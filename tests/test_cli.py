@@ -217,10 +217,28 @@ def test_grid_and_tol_overrides(tmp_path, capsys):
         (["--grid", "32"], "--grid must be >= 129, got 32"),
         (["--tol", "0.5"], "--tol must lie in (0, 1e-2], got 0.5"),
         (["--tol", "nan"], "--tol must lie in (0, 1e-2], got nan"),
+        # flags follow the config file's number rule
+        (["--grid", "1_29"], "--grid: expected an integer, got '1_29'"),
+        (["--grid", "\u0661\u0662\u0669"], "--grid: expected an integer, got '\u0661\u0662\u0669'"),
+        (["--grid", "129.0"], "--grid: expected an integer, got '129.0'"),
+        (["--tol", "1e-0_8"], "--tol: expected a number, got '1e-0_8'"),
     ):
         capsys.readouterr()
         assert main(["solve", "--config", cfg, "--out", str(out)] + flags) == 2
         assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["solve", "certify", "green"])
+def test_unwritable_output_is_one_error_line(tmp_path, capsys, command):
+    cfg = write_config(tmp_path, EXAMPLE_LINES.replace("grid_n = 513", "grid_n = 129"))
+    taken = tmp_path / "taken"
+    taken.write_text("not a directory\n")
+    capsys.readouterr()
+    assert main([command, "--config", cfg, "--out", str(taken)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot write {taken}{os.sep}") and err.count("\n") == 1, err
+    assert "File exists" in err
+    assert taken.read_text() == "not a directory\n"
 
 
 def test_grid_below_residual_minimum_fails_before_solving(tmp_path, capsys, monkeypatch):

@@ -313,6 +313,75 @@ def test_power_values(src, want):
     assert evaluate(tree, np.zeros(3), np.zeros(3), np.zeros(3)).tolist() == [want] * 3
 
 
+# square bases: both signs, zeros, subnormals and the overflow edge at
+# sqrt(DBL_MAX) ~ 1.34e154
+_ROOT_MAX = math.sqrt(np.finfo(float).max)
+SQUARE_BASE = st.one_of(
+    st.sampled_from(
+        (0.0, -0.0, 5e-324, -5e-324, 1e-160, -1e-160, _ROOT_MAX, -_ROOT_MAX)
+        + (math.nextafter(_ROOT_MAX, math.inf), math.nextafter(-_ROOT_MAX, -math.inf))
+    ),
+    st.floats(-2e154, 2e154),
+    st.floats(-1e-300, 1e-300),
+    st.floats(1.3e154, 1.4e154) | st.floats(-1.4e154, -1.3e154),
+)
+# source -> the subtree it squares, from t and u
+SQUARES = {
+    "u^2": lambda t, u: u,
+    "(u-t)^2": lambda t, u: u - t,
+    "sin(t)^2": lambda t, u: np.sin(t),  # folded to a leaf
+    "u^(t-t+2)": lambda t, u: u,  # its exponent is folded to a leaf of 2s
+}
+
+
+@settings(max_examples=300, deadline=None)
+@given(src=st.sampled_from(sorted(SQUARES)), data=st.data())
+def test_squares_are_the_base_times_itself(src, data):
+    size = data.draw(st.integers(1, 12))
+    t, u = (
+        np.array(data.draw(st.lists(SQUARE_BASE, min_size=size, max_size=size)))
+        for _ in range(2)
+    )
+    v = np.zeros(size)
+    base = SQUARES[src](t, u)
+    with np.errstate(all="ignore"):
+        want = base * base
+        overflow = np.flatnonzero(np.isinf(np.power(base, 2.0)))
+    tree = parse(src)
+    folded = fold_invariants(tree, t)
+    got, exc = _outcome(lambda: evaluate(folded, t, u, v))
+    if overflow.size:
+        # numpy's power loop overflows at the same points as the product
+        assert np.array_equal(overflow, np.flatnonzero(np.isinf(want))), src
+        assert exc is not None and (str(exc), exc.index) == ("overflow in power", overflow[0]), src
+        assert _first_failure(tree, t, u, v, evaluate)[1] == (
+            overflow[0],
+            EvaluationError,
+            "overflow in power",
+        ), src
+    else:
+        assert exc is None, src
+        assert got.tobytes() == want.tobytes(), src  # bit for bit
+        assert _first_failure(tree, t, u, v, evaluate)[0].tobytes() == want.tobytes(), src
+
+
+def test_power_with_some_exponents_two_uses_numpys_power(monkeypatch):
+    calls = []
+    power = expr._BINARY["^"]
+    monkeypatch.setitem(expr._BINARY, "^", lambda a, b: calls.append(1) or power(a, b))
+    t, u = np.array([0.3, 1.7, 2.5, 0.9]), np.array([2.0, 3.0, 2.0, 0.5])
+    got = evaluate(parse("t^u"), t, u, u)
+    assert len(calls) == 1
+    assert got.tobytes() == np.power(t, u).tobytes()
+
+
+def test_square_of_a_negation_is_the_square():
+    x = np.array([-3.5, -0.0, 0.0, 1e-160, -7.25e153, 2.5e-310, 0.1, -1.0 / 3.0])
+    z = np.zeros_like(x)
+    neg = evaluate(parse("(-u)^2"), z, x, z)
+    assert neg.tobytes() == evaluate(parse("u^2"), z, x, z).tobytes() == (x * x).tobytes()
+
+
 def test_evaluate_scalar_returns_float_and_arrays_keep_shape():
     tree = parse("t*u+v")
     assert type(evaluate(tree, 1.0, 2.0, 3.0)) is float

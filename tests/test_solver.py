@@ -302,6 +302,18 @@ def test_a_sweep_transforms_f_once(example_spec, monkeypatch):
     assert len(calls) == 2 + report.iterations
 
 
+def test_squares_in_a_solve_skip_numpys_power(example_params, monkeypatch):
+    calls = []
+    power = expr._BINARY["^"]
+    monkeypatch.setitem(expr._BINARY, "^", lambda a, b: calls.append(1) or power(a, b))
+    rhs = parse("-0.5*u + 0.02*v^2/(1 + v^2) + exp(-2.5*t)*sqrt(1 + 0.7*t)")
+    _, report = picard_solve(ProblemSpec(example_params, rhs), 513)
+    assert report.converged and calls == []
+    nodes = Grid(513).nodes
+    expr.evaluate(parse("u^(t/2)"), nodes, nodes, nodes)
+    assert len(calls) == 1
+
+
 def test_non_finite_iterate_raises_divergence(example_params):
     # f = 1e308 overflows the transform, so the first image is nan
     with pytest.raises(DivergenceError) as info:
