@@ -200,7 +200,8 @@ def _trunc6(x: float) -> str:
 def _write_atomic(out_dir: str, name: str, text: str) -> None:
     """Write ``out_dir/name`` via a temp file beside it; no partial files.
 
-    Creates ``out_dir`` when it does not exist yet.  A failure raises
+    Creates ``out_dir`` when it does not exist yet.  The file gets the mode
+    open() would give it, 0o666 less the umask.  A failure raises
     OSError("cannot write <out_dir/name>: <reason>").
     """
     path = os.path.join(out_dir, name)
@@ -208,6 +209,9 @@ def _write_atomic(out_dir: str, name: str, text: str) -> None:
         os.makedirs(out_dir, exist_ok=True)
         fd, tmp = tempfile.mkstemp(dir=out_dir, suffix=".tmp")
         try:
+            umask = os.umask(0)  # the umask is read by setting it; mkstemp made 0o600
+            os.umask(umask)
+            os.chmod(tmp, 0o666 & ~umask)
             with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
                 fh.write(text)
             os.replace(tmp, path)
@@ -364,17 +368,17 @@ def _build_arg_parser() -> argparse.ArgumentParser:
     )
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def add_common(p: argparse.ArgumentParser) -> None:
+    def add_common(p: argparse.ArgumentParser) -> argparse.ArgumentParser:
         p.add_argument("--config", required=True, help="path to a key=value config file")
         p.add_argument("--out", help="output directory (overrides output_dir)")
-        # read by _apply_overrides with the config file's number rule
-        p.add_argument("--grid", help="grid size override")
-        p.add_argument("--tol", help="tolerance override")
+        return p
 
-    add_common(sub.add_parser("solve", help="run the fixed-point solver"))
+    solve = add_common(sub.add_parser("solve", help="run the fixed-point solver"))
+    # read by _apply_overrides with the config file's number rule
+    solve.add_argument("--grid", help="grid size override")
+    solve.add_argument("--tol", help="tolerance override")
     add_common(sub.add_parser("certify", help="compute a certificate"))
-    green = sub.add_parser("green", help="tabulate the kernel on a lattice")
-    add_common(green)
+    green = add_common(sub.add_parser("green", help="tabulate the kernel on a lattice"))
     green.add_argument("--mt", type=int, default=11, help="t lattice size")
     green.add_argument("--ms", type=int, default=11, help="s lattice size")
     sub.add_parser("example", help="run the built-in worked example")
@@ -395,12 +399,11 @@ def main(argv: Optional[list[str]] = None) -> int:
         if args.command == "example":
             return cmd_example()
         config = parse_config(args.config)
-        config = _apply_overrides(config, args)
         out_dir = args.out or config.output_dir
         if args.command == "certify":
             return cmd_certify(config, out_dir)
         if args.command == "solve":
-            return cmd_solve(config, out_dir or ".")
+            return cmd_solve(_apply_overrides(config, args), out_dir or ".")
         return cmd_green(config, out_dir or ".", args.mt, args.ms)
     except (ConfigError, DomainError, ParseError) as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -17,15 +17,16 @@ Whitespace is insignificant.  There is no implicit multiplication.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
-from typing import Union
+import re
+from contextlib import suppress
+from dataclasses import dataclass, field, fields, replace
+from typing import Callable, NamedTuple, Union
 
 import numpy as np
 
 from .errors import DomainError, EvaluationError, ParseError, UnknownIdentifierError
 
 VARIABLES = ("t", "u", "v")
-FUNCTIONS = ("sin", "cos", "exp", "ln", "sqrt", "abs")
 
 
 @dataclass(frozen=True)
@@ -58,9 +59,58 @@ class Call:
 
 Expr = Union[Num, Var, Neg, BinOp, Call]
 
+
+class _Op(NamedTuple):
+    fn: Callable[..., np.ndarray]  # numpy function of the operand arrays
+    fmt: str  # to_source's text, with the operands' text in the {}
+    # (mask of the operands and the result r, message), in the order they run
+    checks: tuple[tuple[Callable[..., np.ndarray], str], ...] = ()
+
+
+def _non_finite(op: str) -> tuple[Callable[..., np.ndarray], str]:
+    return (lambda a, b, r: ~np.isfinite(r)), f"non-finite result from {op!r}"
+
+
+# Every operation of the language, keyed by operator; "neg" is unary minus.
+_OPS = {
+    "sin": _Op(np.sin, "sin({})"),
+    "cos": _Op(np.cos, "cos({})"),
+    "exp": _Op(
+        np.exp, "exp({})", ((lambda x, r: np.isinf(r) & np.isfinite(x), "overflow in exp"),)
+    ),
+    "ln": _Op(np.log, "ln({})", ((lambda x, r: x <= 0.0, "ln of a non-positive value"),)),
+    "sqrt": _Op(np.sqrt, "sqrt({})", ((lambda x, r: x < 0.0, "sqrt of a negative value"),)),
+    "abs": _Op(np.abs, "abs({})"),
+    "neg": _Op(np.negative, "(-{})"),
+    "+": _Op(np.add, "({} + {})", (_non_finite("+"),)),
+    "-": _Op(np.subtract, "({} - {})", (_non_finite("-"),)),
+    "*": _Op(np.multiply, "({} * {})", (_non_finite("*"),)),
+    "/": _Op(
+        np.divide, "({} / {})", ((lambda a, b, r: b == 0.0, "division by zero"), _non_finite("/"))
+    ),
+    "^": _Op(
+        # a square is a*a, which is correctly rounded; numpy's power loop is
+        # not, and is many times slower on negative bases
+        lambda a, b: a * a if (b == 2.0).all() else np.power(a, b),
+        "({} ^ {})",
+        (
+            (lambda a, b, r: (a == 0.0) & (b < 0.0), "zero raised to a negative power"),
+            (lambda a, b, r: (a < 0.0) & (b != np.floor(b)), "fractional power of a negative base"),
+            (lambda a, b, r: np.isinf(r) & np.isfinite(a) & np.isfinite(b), "overflow in power"),
+            _non_finite("^"),
+        ),
+    ),
+}
+# a function is an operation printed as its name applied to its operand
+FUNCTIONS = tuple(op for op, row in _OPS.items() if row.fmt == op + "({})")
+
 _ATOM_EXPECTED = ("number", "'pi'", "variable", "function", "'('", "'-'")
-# a NUMBER's digits are ASCII; str.isdigit would also take "²" or "٣"
-_DIGITS = frozenset("0123456789")
+# ASCII digits only: \d and str.isdigit would also take "٣"
+_NUMBER = re.compile(r"(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][+-]?[0-9]+)?")
+# after its first letter an identifier runs over \w: str.isalnum() and "_"
+_WORD_TAIL = re.compile(r"\w*")
+# binary operators from loosest to tightest; each level associates left
+_LEVELS = (("+", "-"), ("*", "/"))
 
 
 @dataclass(frozen=True)
@@ -79,39 +129,17 @@ def _tokenize(source: str) -> list[_Token]:
             i += 1
             continue
         start = i
-        if c in _DIGITS or (c == "." and i + 1 < n and source[i + 1] in _DIGITS):
-            i += 1
-            while i < n and source[i] in _DIGITS:
-                i += 1
-            if i < n and source[i] == ".":
-                i += 1
-                while i < n and source[i] in _DIGITS:
-                    i += 1
-            if i < n and source[i] in "eE":
-                j = i + 1
-                if j < n and source[j] in "+-":
-                    j += 1
-                if j < n and source[j] in _DIGITS:
-                    i = j + 1
-                    while i < n and source[i] in _DIGITS:
-                        i += 1
-            tokens.append(_Token("num", source[start:i], start + 1))
-            continue
-        if c.isalpha():
-            i += 1
-            while i < n and (source[i].isalnum() or source[i] == "_"):
-                i += 1
-            tokens.append(_Token("ident", source[start:i], start + 1))
-            continue
-        if c in "+-*/^()":
-            tokens.append(_Token("op", c, start + 1))
-            i += 1
-            continue
-        raise ParseError(
-            f"unexpected character {c!r} at offset {start + 1}",
-            start + 1,
-            _ATOM_EXPECTED,
-        )
+        number = _NUMBER.match(source, i)
+        if number is not None:
+            kind, i = "num", number.end()
+        elif c.isalpha():
+            kind, i = "ident", _WORD_TAIL.match(source, i + 1).end()
+        elif c in "+-*/^()":
+            kind, i = "op", i + 1
+        else:
+            message = f"unexpected character {c!r} at offset {start + 1}"
+            raise ParseError(message, start + 1, _ATOM_EXPECTED)
+        tokens.append(_Token(kind, source[start:i], start + 1))
     tokens.append(_Token("end", "", n + 1))
     return tokens
 
@@ -147,21 +175,16 @@ class _Parser:
 
     def parse(self) -> Expr:
         node = self.expr()
-        tok = self.peek()
-        if tok.kind != "end":
+        if self.peek().kind != "end":
             raise self.fail(("operator", "end of input"))
         return node
 
-    def expr(self) -> Expr:
-        node = self.term()
-        while (tok := self.match_op("+", "-")) is not None:
-            node = BinOp(tok.text, node, self.term())
-        return node
-
-    def term(self) -> Expr:
-        node = self.unary()
-        while (tok := self.match_op("*", "/")) is not None:
-            node = BinOp(tok.text, node, self.unary())
+    def expr(self, level: int = 0) -> Expr:
+        if level == len(_LEVELS):
+            return self.unary()
+        node = self.expr(level + 1)
+        while (tok := self.match_op(*_LEVELS[level])) is not None:
+            node = BinOp(tok.text, node, self.expr(level + 1))
         return node
 
     def unary(self) -> Expr:
@@ -182,11 +205,8 @@ class _Parser:
             self.advance()
             value = float(tok.text)
             if not math.isfinite(value):
-                raise ParseError(
-                    f"numeric literal {tok.text!r} at offset {tok.offset} is not finite",
-                    tok.offset,
-                    ("finite number",),
-                )
+                message = f"numeric literal {tok.text!r} at offset {tok.offset} is not finite"
+                raise ParseError(message, tok.offset, ("finite number",))
             return Num(value)
         if tok.kind == "ident":
             self.advance()
@@ -196,17 +216,12 @@ class _Parser:
             if name in VARIABLES:
                 return Var(name)
             if name in FUNCTIONS:
-                if self.match_op("(") is None:
+                if self.peek().text != "(":
                     raise self.fail(("'('",))
-                arg = self.expr()
-                if self.match_op(")") is None:
-                    raise self.fail(("')'",))
-                return Call(name, arg)
-            raise UnknownIdentifierError(
-                f"unknown identifier {name!r} at offset {tok.offset}",
-                tok.offset,
-                ("variable t, u, v", "function", "'pi'"),
-            )
+                return Call(name, self.atom())  # the parenthesized argument
+            message = f"unknown identifier {name!r} at offset {tok.offset}"
+            expected = ("variable t, u, v", "function", "'pi'")
+            raise UnknownIdentifierError(message, tok.offset, expected)
         if self.match_op("(") is not None:
             node = self.expr()
             if self.match_op(")") is None:
@@ -226,15 +241,6 @@ def parse(source: str) -> Expr:
     return _Parser(source).parse()
 
 
-_UNARY = {
-    "sin": np.sin,
-    "cos": np.cos,
-    "exp": np.exp,
-    "ln": np.log,
-    "sqrt": np.sqrt,
-    "abs": np.abs,
-}
-_BINARY = {"+": np.add, "-": np.subtract, "*": np.multiply, "/": np.divide, "^": np.power}
 # For finite inputs and literals, every check of the masked walk implies one
 # of these IEEE 754 exception flags; underflow alone is never a failure.
 _FLAGS = {"divide": "raise", "over": "raise", "invalid": "raise", "under": "ignore"}
@@ -247,60 +253,50 @@ class _Folded:
     values: np.ndarray = field(repr=False)
 
 
-def _check(fails: list, mask: np.ndarray, message: str) -> None:
-    if mask.any():
-        fails.append((message, mask))
-
-
 def _walk(e: Expr, env: dict[str, np.ndarray], fails: list | None) -> np.ndarray:
-    # Post-order walk, one numpy operation per node.  Every check that flags
-    # some point is appended to ``fails`` in the order the checks run;
+    # Post-order walk, one _OPS function per operation node.  Every check that
+    # flags some point is appended to ``fails`` in the order the checks run;
     # ``fails=None`` skips the checks, for a walk under _FLAGS.  The result
     # may be an array of ``env`` or of a _Folded leaf.
     if isinstance(e, BinOp):
-        a = _walk(e.left, env, fails)
-        b = _walk(e.right, env, fails)
-        # a square is a*a, which is correctly rounded; numpy's power loop is
-        # not, and is many times slower on negative bases
-        out = a * a if e.op == "^" and (b == 2.0).all() else _BINARY[e.op](a, b)
-        if fails is not None:
-            if e.op == "/":
-                _check(fails, b == 0.0, "division by zero")
-            elif e.op == "^":
-                _check(fails, (a == 0.0) & (b < 0.0), "zero raised to a negative power")
-                _check(
-                    fails, (a < 0.0) & (b != np.floor(b)), "fractional power of a negative base"
-                )
-                overflow = np.isinf(out) & np.isfinite(a) & np.isfinite(b)
-                _check(fails, overflow, "overflow in power")
-            _check(fails, ~np.isfinite(out), f"non-finite result from {e.op!r}")
-        return out
-    if isinstance(e, Call):
-        x = _walk(e.arg, env, fails)
-        out = _UNARY[e.func](x)
-        if fails is not None:
-            if e.func == "exp":
-                _check(fails, np.isinf(out) & np.isfinite(x), "overflow in exp")
-            elif e.func == "ln":
-                _check(fails, x <= 0.0, "ln of a non-positive value")
-            elif e.func == "sqrt":
-                _check(fails, x < 0.0, "sqrt of a negative value")
-        return out
-    if isinstance(e, Var):
+        op, args = e.op, (_walk(e.left, env, fails), _walk(e.right, env, fails))
+    elif isinstance(e, Call):
+        op, args = e.func, (_walk(e.arg, env, fails),)
+    elif isinstance(e, Var):
         return env[e.name]
-    if isinstance(e, _Folded):
+    elif isinstance(e, _Folded):
         if e.values.shape != env["t"].shape:
             raise DomainError(
                 f"folded samples have shape {e.values.shape}, "
                 f"the evaluation has shape {env['t'].shape}"
             )
         return e.values
-    if isinstance(e, Neg):
-        return -_walk(e.operand, env, fails)
-    if isinstance(e, Num):
+    elif isinstance(e, Neg):
+        op, args = "neg", (_walk(e.operand, env, fails),)
+    elif isinstance(e, Num):
         if fails is None and not math.isfinite(e.value):
             raise FloatingPointError("non-finite literal")
         return np.full(env["t"].shape, e.value)
+    else:
+        raise TypeError(f"not an expression node: {e!r}")
+    row = _OPS[op]
+    out = row.fn(*args)
+    if fails is not None:
+        for check, message in row.checks:
+            mask = check(*args, out)
+            if mask.any():
+                fails.append((message, mask))
+    return out
+
+
+def _operation(e: Expr) -> tuple[str, tuple[Expr, ...]]:
+    """The _OPS key and the operands of an operation node."""
+    if isinstance(e, BinOp):
+        return e.op, (e.left, e.right)
+    if isinstance(e, Call):
+        return e.func, (e.arg,)
+    if isinstance(e, Neg):
+        return "neg", (e.operand,)
     raise TypeError(f"not an expression node: {e!r}")
 
 
@@ -310,10 +306,9 @@ def evaluate(
     """Evaluate the tree at the point (t, u, v), or at every point of arrays.
 
     Floats give a float; equal-shape arrays give an array of that shape, one
-    numpy operation per tree node.  Raises :class:`EvaluationError` on
-    division by zero, ln of a non-positive value, sqrt of a negative value,
-    zero to a negative power, fractional powers of negative bases, and
-    floating-point overflow.  For arrays the error names the lowest failing
+    numpy operation per tree node.  Raises :class:`EvaluationError` when a
+    domain check of an operation fails (docs/expression-grammar.md lists
+    them).  For arrays the error names the lowest failing
     flat index (``.index``) and carries the message of that point's first
     failing operation in evaluation order, as a scalar call there would.
 
@@ -333,11 +328,8 @@ def evaluate(
     out = None
     # with an infinite input a node can fail with no flag: 1/(t+1) is 0
     if all(np.isfinite(x).all() for x in env.values()):
-        try:
-            with np.errstate(**_FLAGS):
-                out = _walk(e, env, None)
-        except FloatingPointError:
-            pass
+        with suppress(FloatingPointError), np.errstate(**_FLAGS):
+            out = _walk(e, env, None)
     if out is None:
         fails: list[tuple[str, np.ndarray]] = []
         with np.errstate(all="ignore"):
@@ -380,17 +372,13 @@ def fold_invariants(e: Expr, t: np.ndarray) -> Expr:
             return x, x.name == "t"
         if isinstance(x, Num):
             return x, True
-        if isinstance(x, Neg):
-            parts = {"operand": x.operand}
-        elif isinstance(x, BinOp):
-            parts = {"left": x.left, "right": x.right}
-        else:
-            parts = {"arg": x.arg}
-        done = {name: fold(child) for name, child in parts.items()}
-        if all(free for _, free in done.values()):
+        done = [fold(child) for child in _operation(x)[1]]
+        if all(free for _, free in done):
             return x, True
-        kids = {name: leaf(child) if free else child for name, (child, free) in done.items()}
-        return replace(x, **kids), False
+        kids = [leaf(child) if free else child for child, free in done]
+        # the operands are a node's last fields
+        names = [f.name for f in fields(x)[-len(kids) :]]
+        return replace(x, **dict(zip(names, kids))), False
 
     folded, free = fold(e)
     return leaf(folded) if free else folded
@@ -399,20 +387,21 @@ def fold_invariants(e: Expr, t: np.ndarray) -> Expr:
 def to_source(e: Expr) -> str:
     """Print a tree back to parseable source.
 
-    Fully parenthesized, so operator precedence never changes the shape:
-    parse(to_source(x)) is structurally equal to x.
+    Fully parenthesized, so operator precedence never changes the shape: for
+    a tree returned by :func:`parse`, parse(to_source(x)) is structurally
+    equal to x.  A negative literal prints in parentheses, so it reads back
+    as a negation of the same value.  A non-finite literal has no source and
+    raises :class:`DomainError`.
     """
-    if isinstance(e, Num):
-        return repr(e.value)
     if isinstance(e, Var):
         return e.name
-    if isinstance(e, Neg):
-        return f"(-{to_source(e.operand)})"
-    if isinstance(e, BinOp):
-        return f"({to_source(e.left)} {e.op} {to_source(e.right)})"
-    if isinstance(e, Call):
-        return f"{e.func}({to_source(e.arg)})"
-    raise TypeError(f"not an expression node: {e!r}")
+    if isinstance(e, Num):
+        if not math.isfinite(e.value):
+            raise DomainError(f"literal {e.value!r} is not finite and has no source")
+        text = repr(e.value)
+        return f"({text})" if text.startswith("-") else text
+    op, operands = _operation(e)
+    return _OPS[op].fmt.format(*map(to_source, operands))
 
 
 def lipschitz_estimate(e: Expr, t_samples: int = 65, bound: float = 10.0) -> float:

@@ -241,6 +241,29 @@ def test_unwritable_output_is_one_error_line(tmp_path, capsys, command):
     assert taken.read_text() == "not a directory\n"
 
 
+@pytest.mark.parametrize("command", ["certify", "green"])
+@pytest.mark.parametrize("flag", ["--grid", "--tol"])
+def test_grid_and_tol_are_solve_flags_only(tmp_path, capsys, command, flag):
+    cfg = write_config(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--config", cfg, flag, "129"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["solve", "certify", "green"])
+def test_outputs_get_the_mode_the_umask_allows(tmp_path, capsys, command):
+    cfg = write_config(tmp_path, EXAMPLE_LINES.replace("grid_n = 513", "grid_n = 129"))
+    out = tmp_path / "run"
+    old = os.umask(0o022)
+    try:
+        assert main([command, "--config", cfg, "--out", str(out)]) == 0
+    finally:
+        os.umask(old)
+    modes = {path.name: path.stat().st_mode & 0o777 for path in out.iterdir()}
+    assert modes and set(modes.values()) == {0o644}, modes
+
+
 def test_grid_below_residual_minimum_fails_before_solving(tmp_path, capsys, monkeypatch):
     # the residual check needs n >= 129, so a smaller grid is a config error
     # raised before any Picard step runs

@@ -1,6 +1,8 @@
 """Expression grammar: tokenizer, parser, evaluator, Lipschitz sampling."""
 
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -148,6 +150,7 @@ def test_parse_error_offsets():
         ("u+é", 3),  # offsets count characters; the byte offset would be 4
         ("u+²", 3),  # a literal's digits are ASCII 0-9 only
         ("٣", 1),
+        (".5.3", 3),  # a literal has one fraction: ".5" then ".3"
     )
     for src, offset in cases:
         with pytest.raises(ParseError) as info:
@@ -188,6 +191,9 @@ EVALUATION_ERRORS = (
     ("0/t", 0.0, "division by zero"),
     ("(-t)^-1", 0.0, "zero raised to a negative power"),
     ("1e300/1e-300", 1.0, "non-finite result from '/'"),
+    # with finite operands a power fails an earlier check; inf*0 raises the
+    # invalid flag
+    ("t^2*0", math.inf, "non-finite result from '^'"),
     # both operands fail at t = 0: the first in evaluation order wins
     ("1/t+ln(t)", 0.0, "division by zero"),
     ("ln(t)+1/t", 0.0, "ln of a non-positive value"),
@@ -211,6 +217,37 @@ def test_evaluation_errors():
         assert (str(info.value), info.value.index) == (message, first), src
 
 
+def test_every_table_check_fails_a_corpus_entry():
+    # each (mask, message) check of each expr._OPS row is the first failure
+    # of some EVALUATION_ERRORS entry, in a float call and in an array call
+    messages = [message for row in expr._OPS.values() for _, message in row.checks]
+    assert len(messages) == len(set(messages)) == 12
+    for message in messages:
+        src, t = next((src, t) for src, t, want in EVALUATION_ERRORS if want == message)
+        tree = parse(src)
+        with pytest.raises(EvaluationError) as info:
+            evaluate(tree, t, 0.0, 0.0)
+        assert str(info.value) == message, src
+        ts = np.array([0.5, 0.5, t, t])
+        first = next(j for j, tj in enumerate(ts) if _outcome(lambda: evaluate(tree, tj, 0, 0))[1])
+        with pytest.raises(EvaluationError) as info:
+            evaluate(tree, ts, np.zeros(4), np.zeros(4))
+        assert (str(info.value), info.value.index) == (message, first), src
+
+
+def test_grammar_doc_lists_the_table():
+    path = Path(__file__).resolve().parents[1] / "docs" / "expression-grammar.md"
+    doc = path.read_text(encoding="utf-8")
+    (functions,) = [line for line in doc.splitlines() if line.startswith("- `FUNCTION` is one of")]
+    assert tuple(re.findall(r"`(\w+)`", functions.split("one of")[1])) == expr.FUNCTIONS
+    evaluation = doc.split("## Evaluation")[1]
+    rows = re.findall(r"^\| `([^`]+)` \| (.*) \|$", evaluation, flags=re.M)
+    documented = {
+        {"-x": "neg"}.get(op, op): re.findall(r"`([^`]+)`", checks) for op, checks in rows
+    }
+    assert documented == {op: [msg for _, msg in row.checks] for op, row in expr._OPS.items()}
+
+
 def test_example_rhs_zero_at_origin():
     tree = parse("sin(t)^2/(11*(exp(2*t)+3*exp(t)+1))*(3+t+5*u+v)")
     assert evaluate(tree, 0.0, 0.0, 0.0) == 0.0
@@ -222,6 +259,18 @@ def test_tree_shapes():
     tree = parse("2^3^2")
     assert tree == BinOp("^", Num(2.0), BinOp("^", Num(3.0), Num(2.0)))
     assert parse("sin(t)") == Call("sin", Var("t"))
+
+
+def test_to_source_prints_literals_it_can_read_back():
+    # hand-built literals: a negative one keeps its value as a negation, a
+    # non-finite one has no source
+    square = BinOp("^", Num(-1.0), Num(2.0))
+    assert to_source(square) == "((-1.0) ^ 2.0)"
+    assert evaluate(parse(to_source(square)), 0, 0, 0) == evaluate(square, 0, 0, 0) == 1.0
+    assert to_source(Num(-0.0)) == "(-0.0)"
+    for value in (math.inf, -math.inf, math.nan):
+        with pytest.raises(DomainError):
+            to_source(BinOp("+", Var("u"), Num(value)))
 
 
 def test_to_source_is_stable():
@@ -367,8 +416,8 @@ def test_squares_are_the_base_times_itself(src, data):
 
 def test_power_with_some_exponents_two_uses_numpys_power(monkeypatch):
     calls = []
-    power = expr._BINARY["^"]
-    monkeypatch.setitem(expr._BINARY, "^", lambda a, b: calls.append(1) or power(a, b))
+    power = np.power
+    monkeypatch.setattr(np, "power", lambda a, b: calls.append(1) or power(a, b))
     t, u = np.array([0.3, 1.7, 2.5, 0.9]), np.array([2.0, 3.0, 2.0, 0.5])
     got = evaluate(parse("t^u"), t, u, u)
     assert len(calls) == 1

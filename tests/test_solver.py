@@ -304,8 +304,8 @@ def test_a_sweep_transforms_f_once(example_spec, monkeypatch):
 
 def test_squares_in_a_solve_skip_numpys_power(example_params, monkeypatch):
     calls = []
-    power = expr._BINARY["^"]
-    monkeypatch.setitem(expr._BINARY, "^", lambda a, b: calls.append(1) or power(a, b))
+    power = np.power
+    monkeypatch.setattr(np, "power", lambda a, b: calls.append(1) or power(a, b))
     rhs = parse("-0.5*u + 0.02*v^2/(1 + v^2) + exp(-2.5*t)*sqrt(1 + 0.7*t)")
     _, report = picard_solve(ProblemSpec(example_params, rhs), 513)
     assert report.converged and calls == []
