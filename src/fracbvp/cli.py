@@ -3,6 +3,12 @@
 Configuration files are flat ``key = value`` text with ``#`` comments; see
 docs/config-format.md.  Exit codes: 0 on success, 2 on configuration errors,
 3 when the fixed-point iteration diverges.
+
+Every number in ``solution.csv`` and ``green.csv`` is byte-identical to
+Python's ``format(x, ".15g")``.  The digits are computed in numpy with
+exact rounding for 1e-8 <= |x| < 1e15 (see ``_csvtext``); zeros are
+written directly, and any other value is formatted on its own by
+``"%.15g" % x``.
 """
 
 from __future__ import annotations
@@ -19,6 +25,7 @@ from typing import Any, Callable, Optional
 
 import numpy as np
 
+from ._csvtext import csv_rows
 from .certify import AffinePsi, Certificate, GrowthSpec, certify, theta
 from .errors import (
     ConfigError,
@@ -91,13 +98,12 @@ def _check(key: str, value: Any, label: str) -> Any:
     return value
 
 
-def _number(key: str, text: str, label: str) -> Any:
-    """Read ``text`` as ``key``'s int or float kind, naming it ``label``.
+def _number(kind: type, text: str, label: str) -> Any:
+    """Read ``text`` as an int or float (``kind``), naming it ``label``.
 
     Numbers are plain ASCII: int() and float() would also take ``_``
     separators and non-ASCII digits, which are rejected here.
     """
-    kind = _KEYS[key][0]
     if "_" not in text and text.isascii():
         try:
             return kind(text)
@@ -110,7 +116,7 @@ def _number(key: str, text: str, label: str) -> Any:
 def _convert(path: str, key: str, text: str) -> Any:
     """Convert ``text`` to ``key``'s kind and range-check it."""
     kind = _KEYS[key][0]
-    value = text if kind is str else _number(key, text, f"key {key!r}")
+    value = text if kind is str else _number(kind, text, f"key {key!r}")
     if kind is float and not math.isfinite(value):
         raise ConfigError(f"key {key!r}: value must be finite, got {text!r}")
     return _check(key, value, f"{path}: {key}")
@@ -225,8 +231,7 @@ def _write_atomic(out_dir: str, name: str, text: str) -> None:
 
 def _solution_csv(grid_nodes: np.ndarray, u: np.ndarray, v: np.ndarray) -> str:
     """One ``t,u,v`` row per node, each value formatted as :func:`_fmt` does."""
-    table = np.column_stack((grid_nodes, u, v)).ravel().tolist()
-    return "t,u,v\n" + ("%.15g,%.15g,%.15g\n" * len(grid_nodes)) % tuple(table)
+    return "t,u,v\n" + csv_rows(np.column_stack((grid_nodes, u, v)))
 
 
 def _bool_text(flag: bool) -> str:
@@ -303,16 +308,11 @@ def cmd_green(config: Config, out_dir: str, m_t: int, m_s: int) -> int:
     singular_tail = params.alpha - params.beta < 1.0
     t_vals = np.linspace(0.0, 1.0, m_t)
     s_vals = np.linspace(0.0, 1.0, m_s)
-    lines = []
     if singular_tail:
-        lines.append("# s=1 rows omitted: kernel unbounded there (alpha-beta < 1)")
-    lines.append("t,s,G")
-    for s in s_vals:
-        if singular_tail and s == 1.0:
-            continue
-        for t in t_vals:
-            lines.append(f"{_fmt(t)},{_fmt(s)},{_fmt(green_eval(params, t, s))}")
-    _write_atomic(out_dir, "green.csv", "\n".join(lines) + "\n")
+        s_vals = s_vals[s_vals < 1.0]
+    table = [(t, s, green_eval(params, t, s)) for s in s_vals for t in t_vals]
+    header = "# s=1 rows omitted: kernel unbounded there (alpha-beta < 1)\n" if singular_tail else ""
+    _write_atomic(out_dir, "green.csv", header + "t,s,G\n" + csv_rows(np.array(table)))
     print(f"wrote {out_dir}/green.csv ({m_t} t-nodes x {m_s} s-nodes)")
     return 0
 
@@ -379,8 +379,9 @@ def _build_arg_parser() -> argparse.ArgumentParser:
     solve.add_argument("--tol", help="tolerance override")
     add_common(sub.add_parser("certify", help="compute a certificate"))
     green = add_common(sub.add_parser("green", help="tabulate the kernel on a lattice"))
-    green.add_argument("--mt", type=int, default=11, help="t lattice size")
-    green.add_argument("--ms", type=int, default=11, help="s lattice size")
+    # read by main with the same number rule
+    green.add_argument("--mt", default="11", help="t lattice size")
+    green.add_argument("--ms", default="11", help="s lattice size")
     sub.add_parser("example", help="run the built-in worked example")
     return ap
 
@@ -389,7 +390,7 @@ def _apply_overrides(config: Config, args: argparse.Namespace) -> Config:
     updates: dict[str, object] = {}
     for key, flag, text in (("grid_n", "--grid", args.grid), ("tol", "--tol", args.tol)):
         if text is not None:
-            updates[key] = _check(key, _number(key, text, flag), flag)
+            updates[key] = _check(key, _number(_KEYS[key][0], text, flag), flag)
     return replace(config, **updates) if updates else config
 
 
@@ -404,7 +405,8 @@ def main(argv: Optional[list[str]] = None) -> int:
             return cmd_certify(config, out_dir)
         if args.command == "solve":
             return cmd_solve(_apply_overrides(config, args), out_dir or ".")
-        return cmd_green(config, out_dir or ".", args.mt, args.ms)
+        m_t, m_s = _number(int, args.mt, "--mt"), _number(int, args.ms, "--ms")
+        return cmd_green(config, out_dir or ".", m_t, m_s)
     except (ConfigError, DomainError, ParseError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

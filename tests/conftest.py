@@ -22,7 +22,7 @@ from fracbvp import (
 )
 from fracbvp.errors import EvaluationError
 from fracbvp.expr import BinOp, Call, Neg, Num, Var
-from fracbvp.greens import _companion_terms, _value, green_branch_value
+from fracbvp.greens import _companion_terms, _value, green_branch_value, green_eval
 
 EXAMPLE_RHS = "sin(t)^2/(11*(exp(2*t)+3*exp(t)+1))*(3+t+5*u+v)"
 EXAMPLE_K = 1.0 / 11.0
@@ -270,10 +270,28 @@ def oracle_sign_change(p, t):
         return np.where(g(0.0) <= 0.0, 0.0, np.where(on_right, closed, 0.5 * (lo + hi)))
 
 
+def oracle_csv_rows(rows):
+    """Reference CSV lines: each value formatted on its own by
+    ``format(x, ".15g")``, split by commas, each line ended by a newline."""
+    return "".join(",".join(format(float(x), ".15g") for x in row) + "\n" for row in rows)
+
+
 def oracle_solution_csv(grid_nodes, u, v):
     """Reference ``solution.csv`` writer: each value formatted on its own as
     the shortest decimal capped at 15 significant digits."""
-    lines = ["t,u,v"]
-    for t, uu, vv in zip(grid_nodes, u, v):
-        lines.append(",".join(format(float(x), ".15g") for x in (t, uu, vv)))
-    return "\n".join(lines) + "\n"
+    return "t,u,v\n" + oracle_csv_rows(zip(grid_nodes, u, v))
+
+
+def oracle_green_csv(params, m_t, m_s):
+    """Reference ``green.csv`` writer: G on the m_t x m_s lattice, one
+    ``t,s,G`` row per node with t running fastest; the s = 1 rows are
+    dropped, under a comment line, when the kernel is unbounded there."""
+    singular = params.alpha - params.beta < 1.0
+    header = "# s=1 rows omitted: kernel unbounded there (alpha-beta < 1)\n" if singular else ""
+    rows = [
+        (t, s, green_eval(params, t, s))
+        for s in np.linspace(0.0, 1.0, m_s)
+        if not (singular and s == 1.0)
+        for t in np.linspace(0.0, 1.0, m_t)
+    ]
+    return header + "t,s,G\n" + oracle_csv_rows(rows)

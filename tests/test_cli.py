@@ -12,7 +12,7 @@ import pytest
 from fracbvp import AffinePsi, ConfigError, GrowthSpec, cli
 from fracbvp.cli import main, parse_config
 
-from conftest import oracle_solution_csv
+from conftest import oracle_green_csv, oracle_solution_csv
 
 EXAMPLE_LINES = """\
 # worked example configuration
@@ -428,6 +428,36 @@ def test_green_table_omits_singular_row(tmp_path):
 def test_green_lattice_validation(tmp_path, capsys):
     cfg = write_config(tmp_path)
     assert main(["green", "--config", cfg, "--out", str(tmp_path / "g"), "--mt", "1", "--ms", "3"]) == 2
+
+
+@pytest.mark.parametrize(
+    "text, m_t, m_s",
+    [(EXAMPLE_LINES, 13, 9), ("alpha = 1.6\nbeta = 0.7\nxi = 0.5\nrhs = 1\n", 9, 13)],
+    ids=("regular", "singular-row-dropped"),
+)
+def test_green_csv_matches_per_value_writer(tmp_path, capsys, text, m_t, m_s):
+    cfg = write_config(tmp_path, text)
+    out = tmp_path / "g"
+    assert main(["green", "--config", cfg, "--out", str(out), "--mt", str(m_t), "--ms", str(m_s)]) == 0
+    params = parse_config(cfg).params
+    assert (out / "green.csv").read_bytes() == oracle_green_csv(params, m_t, m_s).encode("ascii")
+
+
+def test_lattice_flags_follow_the_config_number_rule(tmp_path, capsys):
+    cfg = write_config(tmp_path)
+    out = tmp_path / "g"
+    for flags, message in (
+        (["--mt", "1_1"], "--mt: expected an integer, got '1_1'"),
+        (["--ms", "\u0663"], "--ms: expected an integer, got '\u0663'"),
+        (["--mt", "3.0"], "--mt: expected an integer, got '3.0'"),
+        (["--ms", "1e1"], "--ms: expected an integer, got '1e1'"),
+    ):
+        capsys.readouterr()
+        assert main(["green", "--config", cfg, "--out", str(out)] + flags) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+    assert main(["green", "--config", cfg, "--out", str(out), "--mt", "3", "--ms", "4"]) == 0
+    assert len((out / "green.csv").read_text().splitlines()) == 1 + 3 * 4
 
 
 def test_example_command(capsys):
