@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 import re
 from contextlib import suppress
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass
 from typing import Callable, NamedTuple, Union
 
 import numpy as np
@@ -246,31 +246,17 @@ def parse(source: str) -> Expr:
 _FLAGS = {"divide": "raise", "over": "raise", "invalid": "raise", "under": "ignore"}
 
 
-@dataclass(frozen=True, eq=False)
-class _Folded:
-    """A subtree free of u and v, replaced by its samples at fixed t nodes."""
-
-    values: np.ndarray = field(repr=False)
-
-
 def _walk(e: Expr, env: dict[str, np.ndarray], fails: list | None) -> np.ndarray:
     # Post-order walk, one _OPS function per operation node.  Every check that
     # flags some point is appended to ``fails`` in the order the checks run;
-    # ``fails=None`` skips the checks, for a walk under _FLAGS.  The result
-    # may be an array of ``env`` or of a _Folded leaf.
+    # ``fails=None`` skips the checks, for a walk under _FLAGS.  A Var's
+    # result is the array of ``env`` itself.
     if isinstance(e, BinOp):
         op, args = e.op, (_walk(e.left, env, fails), _walk(e.right, env, fails))
     elif isinstance(e, Call):
         op, args = e.func, (_walk(e.arg, env, fails),)
     elif isinstance(e, Var):
         return env[e.name]
-    elif isinstance(e, _Folded):
-        if e.values.shape != env["t"].shape:
-            raise DomainError(
-                f"folded samples have shape {e.values.shape}, "
-                f"the evaluation has shape {env['t'].shape}"
-            )
-        return e.values
     elif isinstance(e, Neg):
         op, args = "neg", (_walk(e.operand, env, fails),)
     elif isinstance(e, Num):
@@ -340,48 +326,9 @@ def evaluate(
             raise EvaluationError(message, index)
     if t.ndim == 0:
         return float(out[0])
-    if isinstance(e, (Var, _Folded)):
+    if isinstance(e, Var):
         out = out.copy()
     return out.reshape(t.shape)
-
-
-def fold_invariants(e: Expr, t: np.ndarray) -> Expr:
-    """Fold the tree for repeated evaluation at the same t nodes.
-
-    Each maximal subtree that does not mention u or v becomes a private leaf
-    holding its samples at ``t``, so evaluating the result at ``t`` (and any
-    u, v) does only the work that changes.  A subtree is folded only when
-    its evaluation at ``t`` succeeds with finite values; the result then
-    gives bit-identical values and raises exactly the errors of ``e``.  The
-    result is for evaluation at ``t`` alone: its leaves check only that the
-    number of points matches (:class:`DomainError` otherwise), and
-    :func:`to_source` cannot print them.
-    """
-    t = np.asarray(t, dtype=float).reshape(-1)
-
-    def leaf(x: Expr) -> Expr:
-        try:
-            values = evaluate(x, t, t, t)
-        except EvaluationError:
-            return x
-        return _Folded(values) if np.isfinite(values).all() else x
-
-    def fold(x: Expr) -> tuple[Expr, bool]:
-        # (x with its maximal u,v-free subtrees folded, whether x is u,v-free)
-        if isinstance(x, Var):
-            return x, x.name == "t"
-        if isinstance(x, Num):
-            return x, True
-        done = [fold(child) for child in _operation(x)[1]]
-        if all(free for _, free in done):
-            return x, True
-        kids = [leaf(child) if free else child for child, free in done]
-        # the operands are a node's last fields
-        names = [f.name for f in fields(x)[-len(kids) :]]
-        return replace(x, **dict(zip(names, kids))), False
-
-    folded, free = fold(e)
-    return leaf(folded) if free else folded
 
 
 def to_source(e: Expr) -> str:
@@ -404,20 +351,20 @@ def to_source(e: Expr) -> str:
     return _OPS[op].fmt.format(*map(to_source, operands))
 
 
-def lipschitz_estimate(e: Expr, t_samples: int = 65, bound: float = 10.0) -> float:
-    """Sampled bound on max(|df/du|, |df/dv|) over [0,1] x [-bound, bound]^2.
+_T_SAMPLES = 65
+_STATE_BOUND = 10.0
+
+
+def lipschitz_estimate(e: Expr) -> float:
+    """Sampled bound on max(|df/du|, |df/dv|) over [0,1] x [-10, 10]^2.
 
     Central differences with step 1e-6 * (1 + |coordinate|) at every point of
-    a t grid crossed with a 5-point lattice per state axis.  This is an
-    estimate, not a certified constant: it can undershoot the true Lipschitz
-    constant between samples.
+    a 65-point t grid crossed with a 5-point lattice per state axis.  This is
+    an estimate, not a certified constant: it can undershoot the true
+    Lipschitz constant between samples.
     """
-    if t_samples < 16:
-        raise DomainError(f"need at least 16 t samples, got {t_samples}")
-    if not (math.isfinite(bound) and bound > 0.0):
-        raise DomainError(f"state bound must be > 0, got {bound!r}")
-    ts = np.arange(t_samples) / (t_samples - 1)
-    lattice = np.array([-bound, -0.5 * bound, 0.0, 0.5 * bound, bound])
+    ts = np.arange(_T_SAMPLES) / (_T_SAMPLES - 1)
+    lattice = _STATE_BOUND * np.array([-1.0, -0.5, 0.0, 0.5, 1.0])
     u, v = np.meshgrid(lattice, lattice, indexing="ij")
     du, dv = 1e-6 * (1.0 + np.abs(u)), 1e-6 * (1.0 + np.abs(v))
     # axes (t, u, v, probe); C order is the order of the nested scalar loop

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DivergenceError, DomainError, EvaluationError
-from .expr import Expr, evaluate, fold_invariants
+from .expr import Expr, evaluate
 from .fracops import Grid, GridFunction, KernelOperator, _caputo_l1, caputo_grid
 from .greens import ProblemParams, kernel_operators
 
@@ -311,10 +311,6 @@ def picard_solve(
     the first step is about 1e-12, yet the map expands, and the restart
     turns a false success into a divergence error.
 
-    The right-hand side's u,v-free subtrees are sampled at the grid nodes
-    once (:func:`expr.fold_invariants`), so each sweep evaluates only the
-    part of f that changes.
-
     Raises :class:`DivergenceError` when a plain iterate's norm is not below
     the norm cap (a nan iterate included) or max_iter sweeps pass without
     convergence.
@@ -327,7 +323,6 @@ def picard_solve(
         raise DomainError(f"max_iter must be >= 1, got {max_iter}")
     grid = Grid(n)
     weights = kernel_operators(spec.params, grid)
-    spec = ProblemSpec(spec.params, fold_invariants(spec.rhs, grid.nodes))
     pair, report = _iterate(spec, grid, np.zeros(2 * n), weights, tol, max_iter)
     if report.iterations == 1:
         seed = np.full(2 * n, _PROBE_SEED)
@@ -339,14 +334,6 @@ def linear_solve(params: ProblemParams, y: GridFunction) -> SolutionPair:
     """Solve the linear problem D^alpha u = y by one weight application."""
     grid = y.grid
     return _pair(grid, kernel_operators(params, grid) @ y.values)
-
-
-def _grid_derivative(values: np.ndarray, h: float) -> np.ndarray:
-    out = np.empty_like(values)
-    out[1:-1] = (values[2:] - values[:-2]) / (2.0 * h)
-    out[0] = (values[1] - values[0]) / h
-    out[-1] = (values[-1] - values[-2]) / h
-    return out
 
 
 def residual(spec: ProblemSpec, pair: SolutionPair) -> ResidualReport:
@@ -366,7 +353,7 @@ def residual(spec: ProblemSpec, pair: SolutionPair) -> ResidualReport:
     h = grid.h
     u, v = pair.u.values, pair.v.values
 
-    du = _grid_derivative(u, h)
+    du = np.gradient(u, h)
     if a < 2.0:
         reduced = _caputo_l1(a - 1.0, grid)  # one weight build for both inputs
         d_alpha = reduced(GridFunction(grid, du).values)

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from fracbvp import DomainError, evaluate, expr, lipschitz_estimate, parse
 from fracbvp.errors import EvaluationError, ParseError, UnknownIdentifierError
-from fracbvp.expr import BinOp, Call, Neg, Num, Var, fold_invariants, to_source
+from fracbvp.expr import BinOp, Call, Neg, Num, Var, to_source
 
 from conftest import oracle_evaluate
 
@@ -285,14 +285,6 @@ def test_lipschitz_estimate_linear_state_terms():
     assert abs(lipschitz_estimate(parse("u")) - 1.0) <= 1e-9
 
 
-def test_lipschitz_estimate_domain_checks():
-    tree = parse("u")
-    with pytest.raises(DomainError):
-        lipschitz_estimate(tree, t_samples=8)
-    with pytest.raises(DomainError):
-        lipschitz_estimate(tree, bound=0.0)
-
-
 # entries that reach each domain check and the overflow checks from
 # points in [-10, 10]
 DOMAIN_EXPRESSIONS = (
@@ -378,8 +370,8 @@ SQUARE_BASE = st.one_of(
 SQUARES = {
     "u^2": lambda t, u: u,
     "(u-t)^2": lambda t, u: u - t,
-    "sin(t)^2": lambda t, u: np.sin(t),  # folded to a leaf
-    "u^(t-t+2)": lambda t, u: u,  # its exponent is folded to a leaf of 2s
+    "sin(t)^2": lambda t, u: np.sin(t),
+    "u^(t-t+2)": lambda t, u: u,  # its exponent evaluates to 2 everywhere
 }
 
 
@@ -397,8 +389,7 @@ def test_squares_are_the_base_times_itself(src, data):
         want = base * base
         overflow = np.flatnonzero(np.isinf(np.power(base, 2.0)))
     tree = parse(src)
-    folded = fold_invariants(tree, t)
-    got, exc = _outcome(lambda: evaluate(folded, t, u, v))
+    got, exc = _outcome(lambda: evaluate(tree, t, u, v))
     if overflow.size:
         # numpy's power loop overflows at the same points as the product
         assert np.array_equal(overflow, np.flatnonzero(np.isinf(want))), src
@@ -516,75 +507,8 @@ def test_every_evaluation_error_raises_a_floating_point_flag():
 
 def test_non_finite_literal_is_checked_like_a_non_finite_result():
     # the parser rejects such literals; a hand-built tree still gets the
-    # masked walk's answer, folded or not
+    # masked walk's answer
     tree = BinOp("+", Num(math.inf), Var("u"))
-    t = np.linspace(0.0, 1.0, 3)
-    for e in (tree, fold_invariants(tree, t)):
-        with pytest.raises(EvaluationError) as info:
-            evaluate(e, t, np.zeros(3), np.zeros(3))
-        assert str(info.value) == "non-finite result from '+'"
-
-
-NON_FINITE = st.sampled_from((math.inf, -math.inf, math.nan))
-
-
-@settings(max_examples=300, deadline=None)
-@given(src=st.sampled_from(EXPRESSION_CORPUS + DOMAIN_EXPRESSIONS), data=st.data())
-def test_folded_tree_matches_original(src, data):
-    size = data.draw(st.integers(1, 12))
-    point = POINT | NON_FINITE if data.draw(st.booleans()) else POINT
-    t, u, v = (
-        np.array(data.draw(st.lists(point, min_size=size, max_size=size))) for _ in range(3)
-    )
-    tree = parse(src)
-    folded = fold_invariants(tree, t)
-    want, want_exc = _outcome(lambda: evaluate(tree, t, u, v))
-    got, got_exc = _outcome(lambda: evaluate(folded, t, u, v))
-    if want_exc is None:
-        assert got_exc is None, src
-        assert got.tobytes() == want.tobytes(), src  # bit for bit
-    else:
-        assert got_exc is not None, src
-        assert (type(got_exc), str(got_exc), got_exc.index) == (
-            type(want_exc),
-            str(want_exc),
-            want_exc.index,
-        ), src
-
-
-def test_fold_replaces_exactly_the_maximal_state_free_subtrees():
-    t = np.linspace(0.0, 1.0, 5)
-    tree = parse("2*u + sin(v)*cos(3*t) - ln(2+t)")
-    folded = fold_invariants(tree, t)
-    leaves = []
-
-    def visit(e):
-        if isinstance(e, expr._Folded):
-            leaves.append(e.values)
-        elif isinstance(e, Neg):
-            visit(e.operand)
-        elif isinstance(e, BinOp):
-            visit(e.left)
-            visit(e.right)
-        elif isinstance(e, Call):
-            visit(e.arg)
-
-    visit(folded)
-    want = [np.full(5, 2.0), np.cos(3 * t), np.log(2 + t)]
-    assert [x.tobytes() for x in leaves] == [x.tobytes() for x in want]
-    # a tree free of u and v folds to one leaf; a failing subtree stays
-    assert isinstance(fold_invariants(parse("exp(t)"), t), expr._Folded)
-    assert fold_invariants(parse("u+1/t"), t) == BinOp("+", Var("u"), parse("1/t"))
-    # the evaluation's result is never the leaf itself
-    whole = fold_invariants(parse("exp(t)"), t)
-    out = evaluate(whole, t, t, t)
-    out[0] = 7.0
-    assert whole.values[0] == 1.0
-
-
-def test_folded_tree_rejects_another_number_of_nodes():
-    folded = fold_invariants(parse("u*sin(t)"), np.linspace(0.0, 1.0, 5))
-    with pytest.raises(DomainError):
-        evaluate(folded, np.zeros(4), np.zeros(4), np.zeros(4))
-    with pytest.raises(DomainError):
-        evaluate(folded, 0.5, 0.0, 0.0)
+    with pytest.raises(EvaluationError) as info:
+        evaluate(tree, np.linspace(0.0, 1.0, 3), np.zeros(3), np.zeros(3))
+    assert str(info.value) == "non-finite result from '+'"
