@@ -19,7 +19,6 @@ import json
 import math
 import os
 import sys
-import tempfile
 from dataclasses import dataclass, replace
 from typing import Any, Callable, Optional
 
@@ -206,18 +205,16 @@ def _trunc6(x: float) -> str:
 def _write_atomic(out_dir: str, name: str, text: str) -> None:
     """Write ``out_dir/name`` via a temp file beside it; no partial files.
 
-    Creates ``out_dir`` when it does not exist yet.  The file gets the mode
-    open() would give it, 0o666 less the umask.  A failure raises
-    OSError("cannot write <out_dir/name>: <reason>").
+    Creates ``out_dir`` when it does not exist yet.  The temp file gets a
+    random name and the mode open() would give it, 0o666 less the umask.
+    A failure raises OSError("cannot write <out_dir/name>: <reason>").
     """
     path = os.path.join(out_dir, name)
     try:
         os.makedirs(out_dir, exist_ok=True)
-        fd, tmp = tempfile.mkstemp(dir=out_dir, suffix=".tmp")
+        tmp = os.path.join(out_dir, f".{name}.{os.urandom(8).hex()}.tmp")
+        fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
         try:
-            umask = os.umask(0)  # the umask is read by setting it; mkstemp made 0o600
-            os.umask(umask)
-            os.chmod(tmp, 0o666 & ~umask)
             with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
                 fh.write(text)
             os.replace(tmp, path)

@@ -16,6 +16,7 @@ array (u, v) and builds pairs only for its result.
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -164,45 +165,36 @@ class _Anderson:
     49, 2011), from the accepted iterates of a fixed-point loop.
 
     Holds the last accepted iterate's image g = T x and residual f = g - x,
-    and the differences dF, dG of up to ``_DEPTH`` consecutive
-    residuals and images, with the Gram matrix of dF grown one row per
-    accepted iterate.  The candidate is g - dG gamma, where gamma minimizes
-    the 2-norm of f - dF gamma; it is solved from the Gram system with dF's
-    rows scaled to unit norm, so a candidate costs O(_DEPTH n) flops.
+    and the differences dF, dG of up to ``_DEPTH`` consecutive residuals and
+    images.  The candidate is g - dG gamma, where gamma minimizes the 2-norm
+    of f - dF gamma; it is solved from the Gram system of dF, formed afresh
+    for each candidate with dF's rows scaled to unit norm, so a candidate
+    costs O(_DEPTH^2 n) flops and no Gram matrix is kept between sweeps.
     """
 
     def __init__(self) -> None:
         self.g = self.f = None
-        self.restart()
+        self.df: deque[np.ndarray] = deque(maxlen=_DEPTH)
+        self.dg: deque[np.ndarray] = deque(maxlen=_DEPTH)
 
     def restart(self) -> None:
         """Forget the differences; keep the last accepted iterate."""
-        self.df: list[np.ndarray] = []
-        self.dg: list[np.ndarray] = []
-        self.gram = np.zeros((0, 0))
+        self.df.clear()
+        self.dg.clear()
 
     def accept(self, g: np.ndarray, f: np.ndarray) -> None:
         """Take the next accepted iterate's image g and residual f."""
         if self.f is not None:
-            d = f - self.f
-            self.df.append(d)
+            self.df.append(f - self.f)
             self.dg.append(g - self.g)
-            row = np.array([e @ d for e in self.df])
-            k = len(row)
-            gram = np.empty((k, k))
-            gram[:-1, :-1] = self.gram
-            gram[-1] = gram[:, -1] = row
-            if k > _DEPTH:
-                del self.df[0], self.dg[0]
-                gram = gram[1:, 1:]
-            self.gram = gram
         self.g, self.f = g, f
 
     def candidate(self) -> np.ndarray:
-        scale = np.sqrt(np.diag(self.gram))
+        gram = np.array([[a @ b for b in self.df] for a in self.df])
+        scale = np.sqrt(np.diag(gram))
         scale[scale == 0.0] = 1.0
         rhs = np.array([e @ self.f for e in self.df]) / scale
-        y, *_ = np.linalg.lstsq(self.gram / np.outer(scale, scale), rhs, rcond=None)
+        y, *_ = np.linalg.lstsq(gram / np.outer(scale, scale), rhs, rcond=None)
         return self.g - (y / scale) @ np.array(self.dg)
 
 

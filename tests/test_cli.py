@@ -264,6 +264,26 @@ def test_outputs_get_the_mode_the_umask_allows(tmp_path, capsys, command):
     assert modes and set(modes.values()) == {0o644}, modes
 
 
+def test_outputs_are_written_without_touching_the_umask(tmp_path, capsys, monkeypatch):
+    # the umask is process-wide, so setting it even briefly races with every
+    # other thread's file creation
+    def no_umask(mask):
+        raise AssertionError("os.umask must not be called")
+
+    cfg = write_config(tmp_path, EXAMPLE_LINES.replace("grid_n = 513", "grid_n = 129"))
+    old = os.umask(0o022)
+    try:
+        monkeypatch.setattr(os, "umask", no_umask)
+        for command in ("solve", "certify", "green"):
+            out = tmp_path / command
+            assert main([command, "--config", cfg, "--out", str(out)]) == 0
+            modes = {path.name: path.stat().st_mode & 0o777 for path in out.iterdir()}
+            assert modes and set(modes.values()) == {0o644}, modes
+    finally:
+        monkeypatch.undo()
+        os.umask(old)
+
+
 def test_grid_below_residual_minimum_fails_before_solving(tmp_path, capsys, monkeypatch):
     # the residual check needs n >= 129, so a smaller grid is a config error
     # raised before any Picard step runs

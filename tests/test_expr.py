@@ -312,6 +312,41 @@ def _outcome(call):
         return None, exc
 
 
+def _operands(e):
+    return () if isinstance(e, (Num, Var)) else expr._operation(e)[1]
+
+
+def _nodes(e):
+    """Every node of the tree, the root first."""
+    yield e
+    for operand in _operands(e):
+        yield from _nodes(operand)
+
+
+def _with_operands(e, values):
+    """An operation node with its operands replaced by literals; a leaf as is."""
+    if isinstance(e, BinOp):
+        return BinOp(e.op, Num(values[0]), Num(values[1]))
+    if isinstance(e, Call):
+        return Call(e.func, Num(values[0]))
+    return Neg(Num(values[0])) if isinstance(e, Neg) else e
+
+
+def _assert_nodes_match_oracle(tree, t, u, v):
+    # Node by node, so that an ill-conditioned composition cannot amplify
+    # the ulp-level differences between numpy and the math module: each
+    # node's array value must match the oracle applied to that node with the
+    # evaluator's own operand values.
+    for node in _nodes(tree):
+        operands = [evaluate(x, t, u, v) for x in _operands(node)]
+        want = [
+            oracle_evaluate(_with_operands(node, [float(x[j]) for x in operands]), t[j], u[j], v[j])
+            for j in range(len(t))
+        ]
+        got = evaluate(node, t, u, v)
+        assert got == pytest.approx(want, rel=1e-15, abs=1e-300), (to_source(tree), to_source(node))
+
+
 def _first_failure(tree, t, u, v, fn):
     """Values of fn at every point, or the lowest failing index and its error."""
     values = []
@@ -334,12 +369,12 @@ def test_array_evaluate_matches_scalar_calls_and_oracle(src, data):
     tree = parse(src)
     got, exc = _outcome(lambda: evaluate(tree, t, u, v))
     scalar, scalar_fail = _first_failure(tree, t, u, v, evaluate)
-    oracle, oracle_fail = _first_failure(tree, t, u, v, oracle_evaluate)
+    _, oracle_fail = _first_failure(tree, t, u, v, oracle_evaluate)
     if exc is None:
         assert scalar_fail is None and oracle_fail is None, src
         assert got.shape == t.shape
         assert got.tobytes() == scalar.tobytes(), src  # bit for bit
-        assert got == pytest.approx(oracle, rel=1e-12, abs=1e-12), src
+        _assert_nodes_match_oracle(tree, t, u, v)
     else:
         assert (exc.index, type(exc), str(exc)) == scalar_fail == oracle_fail, src
 

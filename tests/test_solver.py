@@ -358,6 +358,23 @@ def test_slow_contraction_is_accelerated(example_params):
     assert pair_distance(pair, apply_T(spec, pair, gw, hw)) <= 1e-10
 
 
+def test_anderson_candidate_is_the_least_squares_extrapolation():
+    # 8 accepted iterates give 7 differences, of which the history keeps the
+    # last _DEPTH; its candidate is g - dG gamma with gamma the least-squares
+    # fit of f by dF
+    rng = np.random.default_rng(7)
+    history = solver._Anderson()
+    for _ in range(8):
+        g, f = rng.normal(size=(2, 64))
+        history.accept(g, f)
+    assert len(history.df) == len(history.dg) == solver._DEPTH
+    gamma, *_ = np.linalg.lstsq(np.array(history.df).T, f, rcond=None)
+    want = g - np.array(history.dg).T @ gamma
+    assert np.max(np.abs(history.candidate() - want)) <= 1e-10 * np.max(np.abs(want))
+    history.restart()
+    assert len(history.df) == len(history.dg) == 0
+
+
 def test_rejected_candidates_leave_the_plain_trajectory(example_params, monkeypatch):
     # A candidate equal to the last accepted iterate never shrinks its step,
     # so each is rejected and the accepted iterates are the plain ones.
