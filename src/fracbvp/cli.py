@@ -34,7 +34,7 @@ from .errors import (
     ParseError,
 )
 from .expr import Expr, parse
-from .greens import ProblemParams, green_eval
+from .greens import ProblemParams, _green_terms, _value
 from .solver import ProblemSpec, picard_solve, residual
 
 # Built-in worked example: a right-hand side whose Lipschitz constant 1/11
@@ -307,7 +307,9 @@ def cmd_green(config: Config, out_dir: str, m_t: int, m_s: int) -> int:
     s_vals = np.linspace(0.0, 1.0, m_s)
     if singular_tail:
         s_vals = s_vals[s_vals < 1.0]
-    table = [(t, s, green_eval(params, t, s)) for s in s_vals for t in t_vals]
+    # one term table; each point stays on the scalar path, with Python floats
+    terms = _green_terms(params)
+    table = [(t, s, float(_value(terms, t, s))) for s in s_vals.tolist() for t in t_vals.tolist()]
     header = "# s=1 rows omitted: kernel unbounded there (alpha-beta < 1)\n" if singular_tail else ""
     _write_atomic(out_dir, "green.csv", header + "t,s,G\n" + csv_rows(np.array(table)))
     print(f"wrote {out_dir}/green.csv ({m_t} t-nodes x {m_s} s-nodes)")

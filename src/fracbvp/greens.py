@@ -14,13 +14,14 @@ has the representation u(t) = integral_0^1 G(t, s) y(s) ds with
 
 and the reduced derivative v = D^(alpha-1) u has the companion kernel
 
-    H(t, s) = 1_{s<=t}
+    H(t, s) = 1_{s<t}
               - Gamma(2-beta) t^(2-alpha) / (Gamma(3-alpha) Gamma(alpha-beta))
                 * (1-s)^(alpha-beta-1).
 
-Both kernels are weakly singular at s = 1 when alpha - beta < 1, yet their
-moments against hat functions are finite, so grid weights exist for every
-admissible parameter triple.
+Its 1_{s<t} = (t-s)_+^0/Gamma(1) is the order-1 Riemann-Liouville kernel,
+as G's first term is the order-alpha one.  Both kernels are weakly singular
+at s = 1 when alpha - beta < 1, yet their moments against hat functions are
+finite, so grid weights exist for every admissible parameter triple.
 
 Each kernel is written once, as a table of terms (``_green_terms``,
 ``_companion_terms``); the term tables are where the formulas live.  The
@@ -28,7 +29,7 @@ grid weights, the pointwise values and G's antiderivative are derived from
 them term by term, each by one function.  On a uniform grid the weights of
 both kernels are one :class:`fracops.KernelOperator` of shape (2n, n), G's
 rows over H's, so the fixed-point map (G f, H f) is one product: in each
-block the 1_{s<=t} terms give a lower-triangular Toeplitz matrix (apart
+block the (t-s)_+ terms give a lower-triangular Toeplitz matrix (apart
 from column 0), and the (1-s) terms a rank-2 (G) or rank-1 (H) update, so
 the weights take O(n) memory and apply in O(n log n).  The dense n x n
 matrices of :func:`green_weight_matrix` and :func:`companion_weight_matrix`
@@ -101,10 +102,10 @@ class ProblemParams:
 
 # A kernel's terms are (kind, q, c): a coefficient c, a float or a function
 # of t, times
-#   "left"       (t-s)_+^(q-1) / Gamma(q), the Riemann-Liouville kernel;
-#   "indicator"  1_{s<=t}, taken empty at t = 0 (that interval carries no mass);
-#   "right"      (1-s)^(q-1).
-# Left and indicator coefficients are constants, so those terms stay Toeplitz.
+#   "left"   (t-s)_+^(q-1) / Gamma(q), the Riemann-Liouville kernel, zero for
+#            s >= t (so at q = 1 it is 1_{s<t});
+#   "right"  (1-s)^(q-1).
+# Left coefficients are constants, so those terms stay Toeplitz.
 
 
 def _green_terms(p: ProblemParams) -> tuple:
@@ -121,41 +122,35 @@ def _companion_terms(p: ProblemParams) -> tuple:
     a, b = p.alpha, p.beta
     c = gamma(2.0 - b) / (gamma(3.0 - a) * gamma(a - b))
     # 0^0 = 1 here keeps the alpha = 2 case (t-independent coefficient) right.
-    return (("indicator", 1.0, 1.0), ("right", a - b, lambda t: -c * t ** (2.0 - a)))
+    return (("left", 1.0, 1.0), ("right", a - b, lambda t: -c * t ** (2.0 - a)))
 
 
 def _operator(tables, grid: Grid) -> KernelOperator:
     """Exact hat-function moments of term tables at every grid node, one
     block row of the operator per table.
 
-    Left and indicator terms add into their block's Toeplitz data.  The
-    moments of a right term of order q are the t = 1 row of the order-q
-    left moments, so they are read off the same Toeplitz data, built once
-    per distinct order in the call, and the term becomes a rank-1 factor
-    whose left vector is zero outside its block.
+    Left terms add into their block's Toeplitz data.  The moments of a
+    right term of order q are the t = 1 row of the order-q left moments, so
+    they are read off the same Toeplitz data, built once per distinct order
+    in the call, and the term becomes a rank-1 factor whose left vector is
+    zero outside its block.
     """
-    n, h = grid.n, grid.h
-    shape = (len(tables), n)
+    shape = (len(tables), grid.n)
     column, first, factors = np.zeros(shape), np.zeros(shape), []
     built: dict = {}  # order -> left_kernel_toeplitz result
     for row, terms in enumerate(tables):
         for kind, q, c in terms:
-            if kind == "indicator":  # the trapezoid rule on [0, t_i]
-                col, fst = np.full(n, h), np.full(n, 0.5 * h)
-                col[0], fst[0] = 0.5 * h, 0.0
-            else:
-                if q not in built:
-                    built[q] = left_kernel_toeplitz(q, grid)
-                col, fst = built[q]
+            if q not in built:
+                built[q] = left_kernel_toeplitz(q, grid)
+            col, fst = built[q]
             if kind == "right":
                 w = np.append(fst[-1], col[-2::-1])
                 left = np.zeros(shape)
                 left[row] = c(grid.nodes) if callable(c) else 1.0
                 factors.append((left.ravel(), w if callable(c) else c * w))
             else:
-                scale = gamma(q) if kind == "left" else 1.0
-                column[row] += c * col / scale
-                first[row] += c * fst / scale
+                column[row] += c * col / gamma(q)
+                first[row] += c * fst / gamma(q)
     return KernelOperator(column, first, tuple(factors))
 
 
@@ -164,20 +159,18 @@ def _value(terms, t: float, s):
     total = 0.0
     for kind, q, c in terms:
         c = c(t) if callable(c) else c
-        if kind == "left":
-            total = total + c * np.maximum(t - s, 0.0) ** (q - 1.0) / gamma(q)
-        elif kind == "right":
-            total = total + c * (1.0 - s) ** (q - 1.0)
+        if kind == "left":  # (s < t) zeroes 0.0 ** 0.0 = 1 at q = 1
+            total = total + c * np.maximum(t - s, 0.0) ** (q - 1.0) / gamma(q) * (s < t)
         else:
-            total = total + c * ((s <= t) & (t > 0.0))
+            total = total + c * (1.0 - s) ** (q - 1.0)
     return total
 
 
 def _primitive(terms, t: np.ndarray, x):
-    """P(t, x) = integral_0^x of a table's left and right terms, for arrays t.
+    """P(t, x) = integral_0^x of a table's terms, for arrays t.
 
     The right terms' (1 - (1-x)^q)/q are formed as -expm1(q log1p(-x))/q, so
-    they keep full precision as q -> 0.  Indicator terms are not covered.
+    they keep full precision as q -> 0.
     """
     total = 0.0
     for kind, q, c in terms:
@@ -225,13 +218,13 @@ def kernel_operators(p: ProblemParams, grid: Grid) -> KernelOperator:
     exactly whenever y is piecewise linear on the grid.  Weights are finite
     even where the kernels are unbounded at s = 1.
 
-    For G, the left term gives the Toeplitz part and the two (1-s) terms a
-    rank-2 update.  For H, the indicator term is the trapezoid rule on
-    [0, t_i]: Toeplitz column [h/2, h, h, ...] with column 0 equal to h/2
-    below row 0.  At t_0 = 0 with alpha < 2 H's row is identically zero,
-    matching D^(alpha-1) u(0) = 0 for every forcing; its (1-s) term gives a
-    rank-1 update.  Both kernels have a (1-s)^(alpha-beta-1) term, so the
-    Toeplitz data of order alpha - beta is built once and shared.
+    In each block the left term gives the Toeplitz part: of order alpha
+    for G, and of order 1 for H, whose moments are the trapezoid rule on
+    [0, t_i].  G's two (1-s) terms give a rank-2 update and H's one a
+    rank-1 update.  At t_0 = 0 with alpha < 2 H's row is identically zero,
+    matching D^(alpha-1) u(0) = 0 for every forcing.  Both kernels have a
+    (1-s)^(alpha-beta-1) term, so the Toeplitz data of order alpha - beta is
+    built once and shared.
     """
     return _operator((_green_terms(p), _companion_terms(p)), grid)
 

@@ -348,7 +348,7 @@ def residual(spec: ProblemSpec, pair: SolutionPair) -> ResidualReport:
     du = np.gradient(u, h)
     if a < 2.0:
         reduced = _caputo_l1(a - 1.0, grid)  # one weight build for both inputs
-        d_alpha = reduced(GridFunction(grid, du).values)
+        d_alpha = reduced(du)
         d_reduced = reduced(u)
     else:
         d_alpha = np.zeros(grid.n)

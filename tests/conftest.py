@@ -70,7 +70,8 @@ def caputo_monomial(gamma_ord, p, t):
 
 def companion_eval(p, t, s):
     """Companion kernel value H(t, s) at t, s in [0, 1], from the library's
-    term table; the indicator is empty at t = 0, so H(0, s) = 0 for alpha < 2."""
+    term table; its order-1 left term 1_{s<t} is empty at t = 0, so
+    H(0, s) = 0 for alpha < 2."""
     return float(_value(_companion_terms(p), float(t), float(s)))
 
 

@@ -27,7 +27,14 @@ from fracbvp import (
     picard_solve,
 )
 from fracbvp.fracops import left_kernel_toeplitz
-from fracbvp.greens import green_abs_mass, green_branch_value, green_sign_change
+from fracbvp.greens import (
+    _companion_terms,
+    _green_terms,
+    _primitive,
+    green_abs_mass,
+    green_branch_value,
+    green_sign_change,
+)
 
 from conftest import companion_eval, left_moments_row, oracle_gstar, oracle_sign_change
 
@@ -287,12 +294,14 @@ def test_operator_row_sums_match_closed_form(p, n):
     sing = gamma(2.0 - b) * (xi + (1.0 - xi) * t) / (gamma(a - b) * (1.0 - xi))
     comp = gamma(2.0 - b) / (gamma(3.0 - a) * gamma(a - b)) * t ** (2.0 - a)
     green_sums, companion_sums = np.split(kernel_operators(p, g) @ ones, 2)
-    for sums, terms in (
-        (green_sums, (t**a / gamma(a + 1.0), ratio / a * ones, -sing / (a - b))),
-        (companion_sums, (t, -comp / (a - b))),
+    for sums, terms, table in (
+        (green_sums, (t**a / gamma(a + 1.0), ratio / a * ones, -sing / (a - b)), _green_terms(p)),
+        (companion_sums, (t, -comp / (a - b)), _companion_terms(p)),
     ):
-        err = np.max(np.abs(sums - sum(terms)))
-        assert err <= 1e-14 * np.max(sum(np.abs(term) for term in terms))
+        scale = np.max(sum(np.abs(term) for term in terms))
+        assert np.max(np.abs(sums - sum(terms))) <= 1e-14 * scale
+        with np.errstate(divide="ignore"):  # log1p(-1) = -inf, as in green_abs_mass
+            assert np.max(np.abs(sums - _primitive(table, t, 1.0))) <= 1e-14 * scale
 
 
 def test_constant_forcing_closed_form(example_params):
