@@ -24,6 +24,7 @@ from typing import Any, Callable, Optional
 
 import numpy as np
 
+from . import __version__
 from ._csvtext import csv_rows
 from .certify import AffinePsi, Certificate, GrowthSpec, certify, theta
 from .errors import (
@@ -244,6 +245,7 @@ def cmd_solve(config: Config, out_dir: str) -> int:
         out_dir, "solution.csv", _solution_csv(pair.grid.nodes, pair.u.values, pair.v.values)
     )
     body = {
+        "version": __version__,
         "alpha": config.params.alpha,
         "beta": config.params.beta,
         "xi": config.params.xi,

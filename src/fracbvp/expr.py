@@ -40,24 +40,12 @@ class Var:
 
 
 @dataclass(frozen=True)
-class Neg:
-    operand: "Expr"
+class Op:
+    op: str  # the operation's key in _OPS
+    args: tuple["Expr", ...]
 
 
-@dataclass(frozen=True)
-class BinOp:
-    op: str
-    left: "Expr"
-    right: "Expr"
-
-
-@dataclass(frozen=True)
-class Call:
-    func: str
-    arg: "Expr"
-
-
-Expr = Union[Num, Var, Neg, BinOp, Call]
+Expr = Union[Num, Var, Op]
 
 
 class _Op(NamedTuple):
@@ -184,19 +172,19 @@ class _Parser:
             return self.unary()
         node = self.expr(level + 1)
         while (tok := self.match_op(*_LEVELS[level])) is not None:
-            node = BinOp(tok.text, node, self.expr(level + 1))
+            node = Op(tok.text, (node, self.expr(level + 1)))
         return node
 
     def unary(self) -> Expr:
         if self.match_op("-") is not None:
-            return Neg(self.unary())
+            return Op("neg", (self.unary(),))
         return self.power()
 
     def power(self) -> Expr:
         node = self.atom()
         if self.match_op("^") is not None:
             # right-associative; unary here lets exponents carry their sign
-            return BinOp("^", node, self.unary())
+            return Op("^", (node, self.unary()))
         return node
 
     def atom(self) -> Expr:
@@ -218,7 +206,7 @@ class _Parser:
             if name in FUNCTIONS:
                 if self.peek().text != "(":
                     raise self.fail(("'('",))
-                return Call(name, self.atom())  # the parenthesized argument
+                return Op(name, (self.atom(),))  # the parenthesized argument
             message = f"unknown identifier {name!r} at offset {tok.offset}"
             expected = ("variable t, u, v", "function", "'pi'")
             raise UnknownIdentifierError(message, tok.offset, expected)
@@ -251,38 +239,24 @@ def _walk(e: Expr, env: dict[str, np.ndarray], fails: list | None) -> np.ndarray
     # flags some point is appended to ``fails`` in the order the checks run;
     # ``fails=None`` skips the checks, for a walk under _FLAGS.  A Var's
     # result is the array of ``env`` itself.
-    if isinstance(e, BinOp):
-        op, args = e.op, (_walk(e.left, env, fails), _walk(e.right, env, fails))
-    elif isinstance(e, Call):
-        op, args = e.func, (_walk(e.arg, env, fails),)
-    elif isinstance(e, Var):
+    if isinstance(e, Op):
+        args = []  # a loop: before Python 3.12 a comprehension adds a frame per node
+        for a in e.args:
+            args.append(_walk(a, env, fails))
+        row = _OPS[e.op]
+        out = row.fn(*args)
+        if fails is not None:
+            for check, message in row.checks:
+                mask = check(*args, out)
+                if mask.any():
+                    fails.append((message, mask))
+        return out
+    if isinstance(e, Var):
         return env[e.name]
-    elif isinstance(e, Neg):
-        op, args = "neg", (_walk(e.operand, env, fails),)
-    elif isinstance(e, Num):
+    if isinstance(e, Num):
         if fails is None and not math.isfinite(e.value):
             raise FloatingPointError("non-finite literal")
         return np.full(env["t"].shape, e.value)
-    else:
-        raise TypeError(f"not an expression node: {e!r}")
-    row = _OPS[op]
-    out = row.fn(*args)
-    if fails is not None:
-        for check, message in row.checks:
-            mask = check(*args, out)
-            if mask.any():
-                fails.append((message, mask))
-    return out
-
-
-def _operation(e: Expr) -> tuple[str, tuple[Expr, ...]]:
-    """The _OPS key and the operands of an operation node."""
-    if isinstance(e, BinOp):
-        return e.op, (e.left, e.right)
-    if isinstance(e, Call):
-        return e.func, (e.arg,)
-    if isinstance(e, Neg):
-        return "neg", (e.operand,)
     raise TypeError(f"not an expression node: {e!r}")
 
 
@@ -347,8 +321,9 @@ def to_source(e: Expr) -> str:
             raise DomainError(f"literal {e.value!r} is not finite and has no source")
         text = repr(e.value)
         return f"({text})" if text.startswith("-") else text
-    op, operands = _operation(e)
-    return _OPS[op].fmt.format(*map(to_source, operands))
+    if isinstance(e, Op):
+        return _OPS[e.op].fmt.format(*map(to_source, e.args))
+    raise TypeError(f"not an expression node: {e!r}")
 
 
 _T_SAMPLES = 65

@@ -130,10 +130,11 @@ def _operator(tables, grid: Grid) -> KernelOperator:
     block row of the operator per table.
 
     Left terms add into their block's Toeplitz data.  The moments of a
-    right term of order q are the t = 1 row of the order-q left moments, so
-    they are read off the same Toeplitz data, built once per distinct order
-    in the call, and the term becomes a rank-1 factor whose left vector is
-    zero outside its block.
+    right term of order q are the t = 1 row of the order-q left moments: the
+    Toeplitz column reversed, as its last entry (no rising half-cell) equals
+    the first column's.  The data is built once per distinct order in the
+    call, and the term becomes a rank-1 factor whose left vector is zero
+    outside its block.
     """
     shape = (len(tables), grid.n)
     column, first, factors = np.zeros(shape), np.zeros(shape), []
@@ -144,7 +145,7 @@ def _operator(tables, grid: Grid) -> KernelOperator:
                 built[q] = left_kernel_toeplitz(q, grid)
             col, fst = built[q]
             if kind == "right":
-                w = np.append(fst[-1], col[-2::-1])
+                w = col[::-1].copy()  # a reversed view would dot in another order
                 left = np.zeros(shape)
                 left[row] = c(grid.nodes) if callable(c) else 1.0
                 factors.append((left.ravel(), w if callable(c) else c * w))

@@ -21,7 +21,7 @@ from fracbvp import (
     picard_solve,
 )
 from fracbvp.errors import EvaluationError
-from fracbvp.expr import BinOp, Call, Neg, Num, Var
+from fracbvp.expr import Num, Op, Var
 from fracbvp.greens import _companion_terms, _value, green_branch_value, green_eval
 
 EXAMPLE_RHS = "sin(t)^2/(11*(exp(2*t)+3*exp(t)+1))*(3+t+5*u+v)"
@@ -121,11 +121,13 @@ def oracle_evaluate(e, t, u, v):
         return e.value
     if isinstance(e, Var):
         return {"t": t, "u": u, "v": v}[e.name]
-    if isinstance(e, Neg):
-        return -oracle_evaluate(e.operand, t, u, v)
-    if isinstance(e, BinOp):
-        a = oracle_evaluate(e.left, t, u, v)
-        b = oracle_evaluate(e.right, t, u, v)
+    if not isinstance(e, Op):
+        raise TypeError(f"not an expression node: {e!r}")
+    args = [oracle_evaluate(a, t, u, v) for a in e.args]
+    if e.op == "neg":
+        return -args[0]
+    if len(args) == 2:
+        a, b = args
         if e.op == "+":
             out = a + b
         elif e.op == "-":
@@ -141,27 +143,25 @@ def oracle_evaluate(e, t, u, v):
         if not math.isfinite(out):
             raise EvaluationError(f"non-finite result from {e.op!r}")
         return out
-    if isinstance(e, Call):
-        x = oracle_evaluate(e.arg, t, u, v)
-        if e.func == "sin":
-            return math.sin(x)
-        if e.func == "cos":
-            return math.cos(x)
-        if e.func == "exp":
-            try:
-                return math.exp(x)
-            except OverflowError:
-                raise EvaluationError("overflow in exp") from None
-        if e.func == "ln":
-            if x <= 0.0:
-                raise EvaluationError("ln of a non-positive value")
-            return math.log(x)
-        if e.func == "sqrt":
-            if x < 0.0:
-                raise EvaluationError("sqrt of a negative value")
-            return math.sqrt(x)
-        return abs(x)
-    raise TypeError(f"not an expression node: {e!r}")
+    (x,) = args
+    if e.op == "sin":
+        return math.sin(x)
+    if e.op == "cos":
+        return math.cos(x)
+    if e.op == "exp":
+        try:
+            return math.exp(x)
+        except OverflowError:
+            raise EvaluationError("overflow in exp") from None
+    if e.op == "ln":
+        if x <= 0.0:
+            raise EvaluationError("ln of a non-positive value")
+        return math.log(x)
+    if e.op == "sqrt":
+        if x < 0.0:
+            raise EvaluationError("sqrt of a negative value")
+        return math.sqrt(x)
+    return abs(x)
 
 
 # Reference G* scan: per t, the kernel's sign changes are bracketed on an

@@ -5,10 +5,12 @@ import os
 import re
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import fracbvp
 from fracbvp import AffinePsi, ConfigError, GrowthSpec, cli
 from fracbvp.cli import main, parse_config
 
@@ -135,6 +137,7 @@ def test_solve_writes_solution_and_report(tmp_path):
     report = json.loads((out / "report.json").read_text())
     assert report["converged"] is True
     assert report["iterations"] >= 1
+    assert report["version"] == fracbvp.__version__
     for key in (
         "final_diff",
         "observed_ratio",
@@ -146,6 +149,15 @@ def test_solve_writes_solution_and_report(tmp_path):
         assert key in report
     assert len(report["diffs"]) == len(report["accelerated"]) == report["iterations"]
     assert report["differential_residual"] <= 5e-3
+
+
+@pytest.mark.skipif(sys.version_info < (3, 11), reason="tomllib is new in Python 3.11")
+def test_package_version_matches_pyproject():
+    import tomllib
+
+    path = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    with path.open("rb") as f:
+        assert tomllib.load(f)["project"]["version"] == fracbvp.__version__
 
 
 def test_solve_constant_forcing_spot_value(tmp_path):

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from fracbvp import DomainError, evaluate, expr, lipschitz_estimate, parse
 from fracbvp.errors import EvaluationError, ParseError, UnknownIdentifierError
-from fracbvp.expr import BinOp, Call, Neg, Num, Var, to_source
+from fracbvp.expr import Num, Op, Var, to_source
 
 from conftest import oracle_evaluate
 
@@ -255,28 +255,63 @@ def test_example_rhs_zero_at_origin():
 
 def test_tree_shapes():
     tree = parse("-2^2")
-    assert tree == Neg(BinOp("^", Num(2.0), Num(2.0)))
+    assert tree == Op("neg", (Op("^", (Num(2.0), Num(2.0))),))
     tree = parse("2^3^2")
-    assert tree == BinOp("^", Num(2.0), BinOp("^", Num(3.0), Num(2.0)))
-    assert parse("sin(t)") == Call("sin", Var("t"))
+    assert tree == Op("^", (Num(2.0), Op("^", (Num(3.0), Num(2.0)))))
+    assert parse("sin(t)") == Op("sin", (Var("t"),))
+
+
+def test_a_non_node_is_a_type_error():
+    for bad in ("u", 1.0, Op("+", (Var("u"), "v"))):
+        with pytest.raises(TypeError):
+            evaluate(bad, 0.0, 0.0, 0.0)
+        with pytest.raises(TypeError):
+            to_source(bad)
 
 
 def test_to_source_prints_literals_it_can_read_back():
     # hand-built literals: a negative one keeps its value as a negation, a
     # non-finite one has no source
-    square = BinOp("^", Num(-1.0), Num(2.0))
+    square = Op("^", (Num(-1.0), Num(2.0)))
     assert to_source(square) == "((-1.0) ^ 2.0)"
     assert evaluate(parse(to_source(square)), 0, 0, 0) == evaluate(square, 0, 0, 0) == 1.0
     assert to_source(Num(-0.0)) == "(-0.0)"
     for value in (math.inf, -math.inf, math.nan):
         with pytest.raises(DomainError):
-            to_source(BinOp("+", Var("u"), Num(value)))
+            to_source(Op("+", (Var("u"), Num(value))))
 
 
 def test_to_source_is_stable():
     for src in EXPRESSION_CORPUS:
         once = to_source(parse(src))
         assert to_source(parse(once)) == once
+
+
+def _arity(op):
+    return expr._OPS[op].fmt.count("{}")
+
+
+# leaves print as themselves; a negative literal would print as a negation
+TREES = st.recursive(
+    st.sampled_from(expr.VARIABLES).map(Var)
+    | st.floats(min_value=0.0, allow_infinity=False).map(Num),
+    lambda operand: st.sampled_from(sorted(expr._OPS)).flatmap(
+        lambda op: st.tuples(*[operand] * _arity(op)).map(lambda args: Op(op, args))
+    ),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(tree=TREES)
+def test_random_trees_round_trip(tree):
+    assert parse(to_source(tree)) == tree
+
+
+def test_parsed_nodes_have_their_operations_arity():
+    for src in EXPRESSION_CORPUS:
+        for node in _nodes(parse(src)):
+            if isinstance(node, Op):
+                assert len(node.args) == _arity(node.op), (src, node)
 
 
 def test_lipschitz_estimate_linear_state_terms():
@@ -313,7 +348,7 @@ def _outcome(call):
 
 
 def _operands(e):
-    return () if isinstance(e, (Num, Var)) else expr._operation(e)[1]
+    return e.args if isinstance(e, Op) else ()
 
 
 def _nodes(e):
@@ -325,11 +360,7 @@ def _nodes(e):
 
 def _with_operands(e, values):
     """An operation node with its operands replaced by literals; a leaf as is."""
-    if isinstance(e, BinOp):
-        return BinOp(e.op, Num(values[0]), Num(values[1]))
-    if isinstance(e, Call):
-        return Call(e.func, Num(values[0]))
-    return Neg(Num(values[0])) if isinstance(e, Neg) else e
+    return Op(e.op, tuple(map(Num, values))) if isinstance(e, Op) else e
 
 
 def _assert_nodes_match_oracle(tree, t, u, v):
@@ -543,7 +574,7 @@ def test_every_evaluation_error_raises_a_floating_point_flag():
 def test_non_finite_literal_is_checked_like_a_non_finite_result():
     # the parser rejects such literals; a hand-built tree still gets the
     # masked walk's answer
-    tree = BinOp("+", Num(math.inf), Var("u"))
+    tree = Op("+", (Num(math.inf), Var("u")))
     with pytest.raises(EvaluationError) as info:
         evaluate(tree, np.linspace(0.0, 1.0, 3), np.zeros(3), np.zeros(3))
     assert str(info.value) == "non-finite result from '+'"

@@ -202,6 +202,16 @@ def test_right_kernel_moments_total_mass():
         assert abs(w.sum() - 1.0 / mu) <= 1e-14
 
 
+def test_toeplitz_column_ends_on_the_first_columns_last_entry():
+    # so the t = 1 row of the moments, a right term's weights, is the
+    # column reversed
+    for n in (2, 3, 5, 33, 129, 513, 2049, 8193):
+        g = Grid(n)
+        for alpha in (1e-9, 1e-3, 0.05, 0.3, 0.5, 0.99, 1.0, 1.3, 1.5, 1.99, 2.0):
+            column, first = left_kernel_toeplitz(alpha, g)
+            assert column[-1:].tobytes() == first[-1:].tobytes()
+
+
 def test_indicator_moments_trapezoid():
     # the indicator part of the companion operator is the trapezoid rule
     g = Grid(9)

@@ -24,6 +24,14 @@ REFERENCE = {
     (1.5, 0.5, 0.5): (2.85e-6, 4.33e-6),
     (1.9, 0.1, 0.3): (8.88e-6, 9.36e-5),
     (1.2, 0.9, 0.5): (4.93e-7, 2.49e-7),
+    # near the edges of the box: alpha -> 1, alpha = 2, beta -> 1, beta -> 0,
+    # xi -> 1, and alpha - beta -> 2
+    (1.05, 0.5, 0.5): (1.16e-7, 6.68e-8),
+    (2.0, 0.5, 0.5): (8.25e-8, 1.38e-7),
+    (1.3, 0.95, 0.5): (1.05e-6, 6.30e-7),
+    (1.5, 0.02, 0.5): (1.45e-6, 4.29e-6),
+    (1.5, 0.5, 0.9): (9.43e-6, 4.23e-6),
+    (1.95, 0.05, 0.5): (6.54e-6, 8.53e-5),
 }
 
 
