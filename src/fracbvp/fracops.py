@@ -14,11 +14,10 @@ interpolant of the data, so both grid operators are exact (to roundoff)
 whenever the input is piecewise linear on the grid.  On a uniform grid both
 are convolutions, held as the first column of a lower-triangular Toeplitz
 matrix.  :class:`KernelOperator` is the one FFT path: it holds one or more
-such columns, each with its own column 0 and a shared low-rank update, and
-applies them with transforms of the shortest power-of-two length >= 2n - 2
-that keeps the product exact.  Each column's spectrum is computed once,
-when the operator is built, and one forward transform of the input serves
-every stacked block.
+such columns, each with its own rank-1 updates, and applies them with
+transforms of the shortest power-of-two length >= 2n - 2 that keeps the
+product exact.  Each column's spectrum is computed once, when the operator
+is built, and one forward transform of the input serves every stacked block.
 """
 
 from __future__ import annotations
@@ -45,13 +44,14 @@ def gamma(x: float) -> float:
 
 @dataclass(frozen=True)
 class Grid:
-    """Uniform nodes t_i = i/(n-1) on [0, 1]."""
+    """Uniform nodes t_i = i/(n-1) on [0, 1], for any integer n >= 2."""
 
     n: int
 
     def __post_init__(self) -> None:
-        if not isinstance(self.n, int) or isinstance(self.n, bool) or self.n < 2:
+        if not isinstance(self.n, (int, np.integer)) or self.n < 2:  # bools are < 2
             raise DomainError(f"grid needs an integer node count >= 2, got {self.n!r}")
+        object.__setattr__(self, "n", int(self.n))
         nodes = np.linspace(0.0, 1.0, self.n)
         nodes.setflags(write=False)
         object.__setattr__(self, "_nodes", nodes)
@@ -125,11 +125,12 @@ def _fft_size(n: int) -> int:
 class KernelOperator:
     """Quadrature weights of k kernels on a grid, stacked, in O(n) memory.
 
-    ``column`` and ``first`` have shape (n,) or (k, n).  The (k n) x n
-    weight matrix stacks k blocks T_b + (first_b - column_b) e_0^T, where
-    T_b[i, j] = column[b, i - j] for j <= i is lower-triangular Toeplitz,
-    and adds outer(left, right) for each pair in ``factors`` (left of
-    length k n, right of length n).
+    ``column`` has shape (n,) or (k, n).  Block b of the (k n) x n weight
+    matrix W is the lower-triangular Toeplitz T_b[i, j] = column[b, i - j],
+    j <= i, plus outer(left, right) for each ``(b, left, right)`` in
+    ``factors``, in order.  ``left`` is a scalar or a length-n array, and
+    ``right`` a length-n array or an index j for e_j, read as x[j] itself
+    (e_j @ x would turn x[j] = -0.0 into +0.0).
 
     ``W @ x`` is the package's one FFT path: x and each column are
     zero-padded to the shortest power of two N >= 2n - 2 and multiplied as
@@ -138,20 +139,17 @@ class KernelOperator:
     the single term column[n-1] x[n-1], wraps around, onto entry 0; entry 0
     of each block is a single term and is set exactly.  So the product is
     exact to roundoff, and rows that vanish at t = 0 stay exactly zero.
-    The column spectra and ``first - column`` are prepared at construction.
-    :meth:`dense` expands W for small-n reference checks.
+    The spectra are prepared at construction; :meth:`dense` expands W.
     """
 
     column: np.ndarray
-    first: np.ndarray
-    factors: tuple[tuple[np.ndarray, np.ndarray], ...]
+    factors: tuple[tuple[int, float | np.ndarray, np.ndarray | int], ...]
 
     def __post_init__(self) -> None:
         blocks = np.atleast_2d(self.column)
         size = _fft_size(blocks.shape[1])
         spectra = [np.fft.rfft(c, size) for c in blocks]
-        shift = (np.atleast_2d(self.first) - blocks).ravel()
-        object.__setattr__(self, "_fft", (size, spectra, blocks[:, 0].copy(), shift))
+        object.__setattr__(self, "_fft", (size, spectra, blocks[:, 0].copy()))
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -162,14 +160,13 @@ class KernelOperator:
         n = self.column.shape[-1]
         if x.shape != (n,):
             raise DomainError(f"operator takes a vector of length {n}, got shape {x.shape}")
-        size, spectra, head, shift = self._fft  # type: ignore[attr-defined]
+        size, spectra, head = self._fft  # type: ignore[attr-defined]
         fx = np.fft.rfft(x, size)
-        out = np.concatenate([np.fft.irfft(s * fx, size)[:n] for s in spectra])
-        out[::n] = head * x[0]
-        out += shift * x[0]
-        for left, right in self.factors:
-            out += left * (right @ x)
-        return out
+        out = np.array([np.fft.irfft(s * fx, size)[:n] for s in spectra])
+        out[:, 0] = head * x[0]
+        for b, left, right in self.factors:
+            out[b] += left * (x[right] if isinstance(right, int) else right @ x)
+        return out.ravel()
 
     def dense(self) -> np.ndarray:
         """The (k n) x n matrix W; O(k n^2) memory, for reference checks."""
@@ -177,11 +174,14 @@ class KernelOperator:
         # row i of a block is its reversed, zero-padded column read from offset n-1-i
         padded = np.concatenate((np.zeros((len(blocks), n - 1)), blocks), axis=1)[:, ::-1]
         out = np.lib.stride_tricks.sliding_window_view(padded, n, axis=1)[:, ::-1].copy()
-        out[:, :, 0] = np.atleast_2d(self.first)
-        out = out.reshape(-1, n)
-        for left, right in self.factors:
-            out += np.outer(left, right)
-        return out
+        for b, left, right in self.factors:
+            out[b] += np.outer(left, np.eye(1, n, right)[0] if isinstance(right, int) else right)
+        return out.reshape(-1, n)
+
+
+def _l1_weights(gamma_ord: float, n: int) -> np.ndarray:
+    """The L1 weights a_k = (k+1)^(1-g) - k^(1-g), k = 0, ..., n-2."""
+    return np.diff(np.arange(n) ** (1.0 - gamma_ord))
 
 
 def _caputo_l1(gamma_ord: float, grid: Grid) -> Callable[[np.ndarray], np.ndarray]:
@@ -194,15 +194,11 @@ def _caputo_l1(gamma_ord: float, grid: Grid) -> Callable[[np.ndarray], np.ndarra
     if n < 3:
         raise DomainError(f"L1 scheme needs at least 3 nodes, got {n}")
     h = grid.h
-    k = np.arange(n - 1, dtype=float)
-    a = (k + 1.0) ** (1.0 - gamma_ord) - k ** (1.0 - gamma_ord)
-    weights = KernelOperator(a, a, ())
+    weights = KernelOperator(_l1_weights(gamma_ord, n), ())
 
     def apply(values: np.ndarray) -> np.ndarray:
         conv = weights @ np.diff(values)
-        out = np.zeros(n)
-        out[1:] = conv * h ** (-gamma_ord) / gamma(2.0 - gamma_ord)
-        return out
+        return np.append(0.0, conv * h ** (-gamma_ord) / gamma(2.0 - gamma_ord))
 
     return apply
 

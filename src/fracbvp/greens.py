@@ -29,9 +29,9 @@ grid weights, the pointwise values and G's antiderivative are derived from
 them term by term, each by one function.  On a uniform grid the weights of
 both kernels are one :class:`fracops.KernelOperator` of shape (2n, n), G's
 rows over H's, so the fixed-point map (G f, H f) is one product: in each
-block the (t-s)_+ terms give a lower-triangular Toeplitz matrix (apart
-from column 0), and the (1-s) terms a rank-2 (G) or rank-1 (H) update, so
-the weights take O(n) memory and apply in O(n log n).  The dense n x n
+block the (t-s)_+ terms give a lower-triangular Toeplitz matrix plus a
+rank-1 correction of column 0, and the (1-s) terms a rank-2 (G) or rank-1
+(H) update, so the weights take O(n) memory and apply in O(n log n).  The dense n x n
 matrices of :func:`green_weight_matrix` and :func:`companion_weight_matrix`
 are the expansions of each block, kept as a small-n reference for tests.
 
@@ -127,32 +127,32 @@ def _companion_terms(p: ProblemParams) -> tuple:
 
 def _operator(tables, grid: Grid) -> KernelOperator:
     """Exact hat-function moments of term tables at every grid node, one
-    block row of the operator per table.
+    block of the operator per table.
 
-    Left terms add into their block's Toeplitz data.  The moments of a
-    right term of order q are the t = 1 row of the order-q left moments: the
-    Toeplitz column reversed, as its last entry (no rising half-cell) equals
-    the first column's.  The data is built once per distinct order in the
-    call, and the term becomes a rank-1 factor whose left vector is zero
-    outside its block.
+    Left terms add into their block's Toeplitz column.  The hat at node 0 is
+    cut off at s = 0, so their column 0 is ``first``: the block's first
+    factor is (first - column) e_0^T.  The moments of a right term of order
+    q are the t = 1 row of the order-q left moments: the Toeplitz column
+    reversed, as its last entry (no rising half-cell) equals the first
+    column's.  Each right term is one more factor, its coefficient the left
+    vector.  The Toeplitz data is built once per distinct order in the call.
     """
-    shape = (len(tables), grid.n)
-    column, first, factors = np.zeros(shape), np.zeros(shape), []
+    column, factors = np.zeros((len(tables), grid.n)), []
     built: dict = {}  # order -> left_kernel_toeplitz result
-    for row, terms in enumerate(tables):
+    for b, terms in enumerate(tables):
+        first, rights = np.zeros(grid.n), []
         for kind, q, c in terms:
             if q not in built:
                 built[q] = left_kernel_toeplitz(q, grid)
             col, fst = built[q]
             if kind == "right":
                 w = col[::-1].copy()  # a reversed view would dot in another order
-                left = np.zeros(shape)
-                left[row] = c(grid.nodes) if callable(c) else 1.0
-                factors.append((left.ravel(), w if callable(c) else c * w))
+                rights.append((b, c(grid.nodes), w) if callable(c) else (b, 1.0, c * w))
             else:
-                column[row] += c * col / gamma(q)
-                first[row] += c * fst / gamma(q)
-    return KernelOperator(column, first, tuple(factors))
+                column[b] += c * col / gamma(q)
+                first += c * fst / gamma(q)
+        factors += [(b, first - column[b], 0), *rights]  # right vector e_0
+    return KernelOperator(column, tuple(factors))
 
 
 def _value(terms, t: float, s):

@@ -171,6 +171,23 @@ def test_solve_constant_forcing_spot_value(tmp_path):
     assert float(first_row[2]) == 0.0
 
 
+@pytest.mark.parametrize("rhs", ["t*(u-1)", "-t*exp(u)", "-t*(1-3*t)"])
+def test_negative_zero_forcing_at_t0_leaves_v0_positive(tmp_path, rhs):
+    # f(0) = -0.0 reaches the operator's column-0 terms.  H's row at t = 0
+    # must still sum to +0.0, so that solution.csv reads 0 and not -0.  In
+    # the last rhs H's right term, added after the column-0 cut-off, is
+    # positive.
+    spec = fracbvp.ProblemSpec(fracbvp.ProblemParams(1.5, 0.5, 0.5), fracbvp.parse(rhs))
+    pair, _ = fracbvp.picard_solve(spec, 513)
+    f0 = fracbvp.evaluate(spec.rhs, np.zeros(1), pair.u.values[:1], pair.v.values[:1])
+    assert f0[0] == 0.0 and np.signbit(f0[0])
+    assert not np.signbit(pair.v.values[0])
+    cfg = write_config(tmp_path, f"alpha = 1.5\nbeta = 0.5\nxi = 0.5\nrhs = {rhs}\ngrid_n = 513\n")
+    out = tmp_path / "run"
+    assert main(["solve", "--config", cfg, "--out", str(out)]) == 0
+    assert (out / "solution.csv").read_text().splitlines()[1].split(",")[-1] == "0"
+
+
 def test_solve_deterministic_output(tmp_path):
     cfg = write_config(tmp_path)
     out1, out2 = tmp_path / "a", tmp_path / "b"

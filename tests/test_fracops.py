@@ -11,9 +11,12 @@ from fracbvp import (
     GridFunction,
     KernelOperator,
     ProblemParams,
+    ProblemSpec,
     caputo_grid,
     gamma,
     kernel_operators,
+    parse,
+    picard_solve,
 )
 from fracbvp.fracops import left_kernel_toeplitz
 
@@ -21,8 +24,10 @@ from conftest import caputo_monomial, frac_integral_monomial, left_moments_row
 
 
 def _left_rows(alpha, g):
-    """Dense left-kernel moment matrix expanded from its Toeplitz data."""
-    return KernelOperator(*left_kernel_toeplitz(alpha, g), ()).dense()
+    """Dense left-kernel moment matrix expanded from its Toeplitz data; the
+    hat cut off at s = 0 is the factor (first - column) e_0^T."""
+    column, first = left_kernel_toeplitz(alpha, g)
+    return KernelOperator(column, ((0, first - column, 0),)).dense()
 
 
 def _frac_integral(alpha, g, values):
@@ -81,6 +86,17 @@ def test_grid_construction():
     assert len(g.nodes) == 5
     with pytest.raises(DomainError):
         Grid(1)
+
+
+def test_grid_takes_any_integral_node_count():
+    for n in (np.int64(129), np.int32(129), np.uint16(129)):
+        g = Grid(n)
+        assert type(g.n) is int and g == Grid(129) and hash(g) == hash(Grid(129))
+    pair, _ = picard_solve(ProblemSpec(ProblemParams(1.5, 0.5, 0.5), parse("0.1*u")), np.int64(129))
+    assert type(pair.grid.n) is int and pair.grid == Grid(129)
+    for bad in (True, False, np.True_, 129.0, np.float64(129.0), "129", None):
+        with pytest.raises(DomainError, match="integer node count >= 2"):
+            Grid(bad)
 
 
 def test_grid_equality_and_hash_follow_n():
@@ -216,7 +232,9 @@ def test_indicator_moments_trapezoid():
     # the indicator part of the companion operator is the trapezoid rule
     g = Grid(9)
     op = kernel_operators(ProblemParams(1.5, 0.5, 0.5), g)
-    rows = KernelOperator(op.column[1], op.first[1], ()).dense()
+    # H's first factor is its column-0 cut-off
+    _, cut, unit = next(f for f in op.factors if f[0] == 1)
+    rows = KernelOperator(op.column[1], ((0, cut, unit),)).dense()
     w = rows[4]
     assert abs(w.sum() - g.nodes[4]) <= 1e-15
     assert w[0] == pytest.approx(g.h / 2)
@@ -231,7 +249,7 @@ def test_kernel_operator_matches_convolution():
     for n in (1, 2, 3, 4, 5, 6, 64, 513, 514, 1000, 8193):
         c, x = rng.uniform(-1, 1, size=n), rng.uniform(-1, 1, size=n)
         want = np.convolve(c, x)[:n]
-        got = KernelOperator(c, c, ()) @ x
+        got = KernelOperator(c, ()) @ x
         assert np.max(np.abs(got - want)) <= 1e-13 * n
 
 
@@ -256,7 +274,7 @@ def test_kernel_operator_checks_the_input_length(example_params):
     for bad in (np.ones(128), np.ones(258), np.ones((2, 129))):
         with pytest.raises(DomainError, match=rf"length 129, got shape \({len(bad)},"):
             op @ bad
-    single = KernelOperator(np.ones(4), np.ones(4), ())
+    single = KernelOperator(np.ones(4), ())
     with pytest.raises(DomainError, match=r"length 4, got shape \(5,\)"):
         single @ np.ones(5)
 

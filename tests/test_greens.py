@@ -211,18 +211,17 @@ def test_green_operator_reads_right_moments_off_its_toeplitz_data(monkeypatch):
             sing = gamma(2.0 - b) * (q.xi + (1.0 - q.xi) * g.nodes) / (gamma(a - b) * (1.0 - q.xi))
             parent = KernelOperator(
                 column / gamma(a),
-                first / gamma(a),
                 (
-                    (np.ones(n), ratio * np.append(first[-1], column[-2::-1])),
-                    (-sing, np.append(first_ab[-1], column_ab[-2::-1])),
+                    (0, first / gamma(a) - column / gamma(a), 0),
+                    (0, 1.0, ratio * np.append(first[-1], column[-2::-1])),
+                    (0, -sing, np.append(first_ab[-1], column_ab[-2::-1])),
                 ),
             )
             got = kernel_operators(q, g)
             assert np.array_equal(got.dense()[:n], parent.dense())
-            # G's factors, in G's rows only
-            for (gl, gr), (pl, pr) in zip(got.factors, parent.factors):
-                assert np.array_equal(gl[:n], pl) and np.array_equal(gr, pr)
-                assert not np.any(gl[n:])
+            # G's factors come first, in G's block
+            for (gb, gl, gr), (pb, pl, pr) in zip(got.factors, parent.factors):
+                assert gb == pb and np.array_equal(gl, pl) and np.array_equal(gr, pr)
 
 
 @st.composite
@@ -260,9 +259,11 @@ def test_operator_matches_dense(p, n, seed):
     g = Grid(n)
     op = kernel_operators(p, g)
     assert op.shape == (2 * n, n)
-    terms = KernelOperator(np.abs(op.column), np.abs(op.first), ()).dense() @ np.abs(f)
-    for left, right in op.factors:
-        terms += np.abs(left) * (np.abs(right) @ np.abs(f))
+    magnitudes = tuple(
+        (b, np.abs(left), right if isinstance(right, int) else np.abs(right))
+        for b, left, right in op.factors
+    )
+    terms = KernelOperator(np.abs(op.column), magnitudes).dense() @ np.abs(f)
     err = np.abs(op @ f - op.dense() @ f).reshape(2, n).max(axis=1)
     assert np.all(err <= 1e-13 * terms.reshape(2, n).max(axis=1))
 

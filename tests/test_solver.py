@@ -195,15 +195,22 @@ def test_alpha_two_picard(example_spec):
 
 
 def test_residual_builds_the_reduced_l1_weights_once(example_spec, monkeypatch):
-    # two order-(alpha-1) inputs share one weight spectrum: 1 + 2 transforms,
-    # plus 2 for the order-beta derivative
+    # two order-(alpha-1) inputs share one weight spectrum: 1 + 2 transforms;
+    # the order-beta derivative at t = 1 is one row of L1 weights, no transform
     pair, _ = picard_solve(example_spec, 8193, tol=1e-10)
     calls = []
     rfft = np.fft.rfft
     monkeypatch.setattr(np.fft, "rfft", lambda *args, **kw: calls.append(1) or rfft(*args, **kw))
     rep = residual(example_spec, pair)
     monkeypatch.undo()
-    assert len(calls) == 5
+    assert len(calls) == 3
+    # the last entry of the whole L1 derivative, up to summation order
+    beta, xi = example_spec.params.beta, example_spec.params.xi
+    p = np.arange(8193.0) ** (1.0 - beta)
+    scale = xi * pair.grid.h ** (-beta) / gamma(2.0 - beta)
+    terms = scale * np.sum(np.abs((p[1:] - p[:-1])[::-1] * np.diff(pair.u.values)))
+    want = xi * abs(caputo_grid(beta, pair.u).values[-1])
+    assert abs(rep.boundary_fractional - want) <= 1e-15 * terms
     # bit for bit what one caputo_grid call per derivative gives
     grid, u, v = pair.grid, pair.u.values, pair.v.values
     du = GridFunction(grid, np.gradient(u, grid.h))
