@@ -18,7 +18,6 @@ from .errors import (
     EvaluationError,
     FracbvpError,
     ParseError,
-    SingularityError,
     UnknownIdentifierError,
 )
 from .expr import evaluate, lipschitz_estimate, parse, to_source
@@ -26,14 +25,12 @@ from .fracops import (
     Grid,
     GridFunction,
     KernelOperator,
-    caputo_grid,
     gamma,
 )
 from .greens import (
     ProblemParams,
     companion_weight_matrix,
     green_branch_value,
-    green_eval,
     green_weight_matrix,
     gstar,
     gstar_coarse_bound,
@@ -70,11 +67,9 @@ __all__ = [
     "ProblemParams",
     "ProblemSpec",
     "ResidualReport",
-    "SingularityError",
     "SolutionPair",
     "UnknownIdentifierError",
     "apply_T",
-    "caputo_grid",
     "certify",
     "companion_weight_matrix",
     "contraction_constant",
@@ -82,7 +77,6 @@ __all__ = [
     "existence_radius",
     "gamma",
     "green_branch_value",
-    "green_eval",
     "green_weight_matrix",
     "gstar",
     "gstar_coarse_bound",

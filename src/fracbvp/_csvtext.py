@@ -175,7 +175,7 @@ def csv_rows(table: np.ndarray) -> str:
     each line ended by a newline, each value as ``format(x, ".15g")``."""
     table = np.asarray(table, dtype=np.float64)
     rows, cols = table.shape
-    sep = np.resize(np.frombuffer(b"," * (cols - 1) + b"\n", np.uint8), _BLOCK_ROWS * cols)
+    sep = np.tile(np.frombuffer(b"," * (cols - 1) + b"\n", np.uint8), _BLOCK_ROWS)
     chunks = []
     for start in range(0, rows, _BLOCK_ROWS):
         values = table[start : start + _BLOCK_ROWS].ravel()

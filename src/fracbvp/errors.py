@@ -11,10 +11,6 @@ class DomainError(FracbvpError, ValueError):
     """An argument lies outside the mathematical domain of an operation."""
 
 
-class SingularityError(DomainError):
-    """A kernel was evaluated at a point where it is unbounded."""
-
-
 class ParseError(FracbvpError, ValueError):
     """Expression source text failed to parse.
 

@@ -85,6 +85,12 @@ class GridFunction:
         object.__setattr__(self, "values", vals)
 
 
+def _power_steps(q: float, n: int) -> np.ndarray:
+    """First differences k^q - (k-1)^q, k = 1, ..., n-1, of integer powers:
+    the one formula behind the kernel moments and the L1 weights."""
+    return np.diff(np.arange(n, dtype=float) ** q)
+
+
 def left_kernel_toeplitz(alpha: float, grid: Grid) -> tuple[np.ndarray, np.ndarray]:
     """Exact moments of the left singular kernel against the hat basis,
 
@@ -100,11 +106,10 @@ def left_kernel_toeplitz(alpha: float, grid: Grid) -> tuple[np.ndarray, np.ndarr
     if not (math.isfinite(alpha) and alpha > 0.0):
         raise DomainError(f"kernel order must be > 0, got {alpha!r}")
     n = grid.n
-    idx = np.arange(n, dtype=float)
-    pa, pa1 = idx**alpha, idx ** (alpha + 1.0)
-    r = idx[1:]  # offset i - m of cell m from node i
-    p0 = (pa[1:] - pa[:-1]) / alpha
-    p_up = r * (pa[1:] - pa[:-1]) / alpha - (pa1[1:] - pa1[:-1]) / (alpha + 1.0)
+    da, da1 = _power_steps(alpha, n), _power_steps(alpha + 1.0, n)
+    r = np.arange(1.0, n)  # offset i - m of cell m from node i
+    p0 = da / alpha
+    p_up = r * da / alpha - da1 / (alpha + 1.0)
     # a hat at node j collects the rising half of cell j-1 and the falling
     # half of cell j; the hat at node 0 has only the falling half
     falling = p0 - p_up
@@ -179,36 +184,21 @@ class KernelOperator:
         return out.reshape(-1, n)
 
 
-def _l1_weights(gamma_ord: float, n: int) -> np.ndarray:
-    """The L1 weights a_k = (k+1)^(1-g) - k^(1-g), k = 0, ..., n-2."""
-    return np.diff(np.arange(n) ** (1.0 - gamma_ord))
-
-
 def _caputo_l1(gamma_ord: float, grid: Grid) -> Callable[[np.ndarray], np.ndarray]:
-    """The L1 scheme of :func:`caputo_grid` on ``grid``, as a map from
-    samples to derivative values; its weights are built once, so one map
-    serves any number of inputs."""
-    if not (math.isfinite(gamma_ord) and 0.0 < gamma_ord < 1.0):
-        raise DomainError(f"derivative order must lie in (0, 1), got {gamma_ord!r}")
-    n = grid.n
-    if n < 3:
-        raise DomainError(f"L1 scheme needs at least 3 nodes, got {n}")
+    """L1 discretization of the Caputo derivative of order gamma_ord in (0, 1)
+    on ``grid``, as a map from samples to derivative values.
+
+    The derivative of the piecewise-linear interpolant is integrated exactly
+    against the kernel, giving the classical weights
+    a_k = (k+1)^(1-g) - k^(1-g) applied to first differences.  The value at
+    t_0 is 0 by convention (the operator annihilates the initial value).
+    The weights are built once, so one map serves any number of inputs.
+    """
     h = grid.h
-    weights = KernelOperator(_l1_weights(gamma_ord, n), ())
+    weights = KernelOperator(_power_steps(1.0 - gamma_ord, grid.n), ())
 
     def apply(values: np.ndarray) -> np.ndarray:
         conv = weights @ np.diff(values)
         return np.append(0.0, conv * h ** (-gamma_ord) / gamma(2.0 - gamma_ord))
 
     return apply
-
-
-def caputo_grid(gamma_ord: float, u: GridFunction) -> GridFunction:
-    """L1 discretization of the Caputo derivative of order gamma_ord in (0, 1).
-
-    The derivative of the piecewise-linear interpolant is integrated exactly
-    against the kernel, giving the classical weights
-    a_k = (k+1)^(1-g) - k^(1-g) applied to first differences.  The value at
-    t_0 is 0 by convention (the operator annihilates the initial value).
-    """
-    return GridFunction(u.grid, _caputo_l1(gamma_ord, u.grid)(u.values))

@@ -79,7 +79,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, SingularityError
+from .errors import DomainError
 from .fracops import Grid, KernelOperator, gamma, left_kernel_toeplitz
 
 @dataclass(frozen=True)
@@ -193,21 +193,6 @@ def green_branch_value(p: ProblemParams, t: float, s, left: bool):
     """
     s = float(s) if np.isscalar(s) else np.asarray(s, dtype=float)
     return _value([term for term in _green_terms(p) if left or term[0] != "left"], t, s)
-
-
-def green_eval(p: ProblemParams, t: float, s: float) -> float:
-    """Pointwise kernel value G(t, s), with t and s checked against [0, 1].
-
-    Raises :class:`SingularityError` at s = 1 when alpha - beta < 1, where
-    the kernel is unbounded.
-    """
-    t, s = float(t), float(s)
-    for var, x in (("t", t), ("s", s)):
-        if not (0.0 <= x <= 1.0):
-            raise DomainError(f"{var} must lie in [0, 1], got {x!r}")
-    if s == 1.0 and p.alpha - p.beta < 1.0:
-        raise SingularityError("kernel is unbounded at s = 1 for alpha - beta < 1")
-    return float(_value(_green_terms(p), t, s))
 
 
 def kernel_operators(p: ProblemParams, grid: Grid) -> KernelOperator:

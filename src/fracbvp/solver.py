@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import DivergenceError, DomainError, EvaluationError
 from .expr import Expr, evaluate
-from .fracops import Grid, GridFunction, KernelOperator, _caputo_l1, _l1_weights, gamma
+from .fracops import Grid, GridFunction, KernelOperator, _caputo_l1, _power_steps, gamma
 from .greens import ProblemParams, kernel_operators
 
 DIVERGENCE_CAP = 1e8
@@ -360,7 +360,7 @@ def residual(spec: ProblemSpec, pair: SolutionPair) -> ResidualReport:
 
     boundary_value = abs(float(u[0]) - xi * float(u[-1]))
     # D^beta u(0) = 0 in the L1 scheme, so only the t = 1 row is needed
-    d_beta = np.sum(_l1_weights(b, grid.n)[::-1] * np.diff(u)) * h ** (-b) / gamma(2.0 - b)
+    d_beta = np.sum(_power_steps(1.0 - b, grid.n)[::-1] * np.diff(u)) * h ** (-b) / gamma(2.0 - b)
     boundary_fractional = xi * abs(float(d_beta))
     consistency = float(np.max(np.abs(d_reduced - v)))
     return ResidualReport(differential, boundary_value, boundary_fractional, consistency)

@@ -22,7 +22,7 @@ from fracbvp import (
 )
 from fracbvp.errors import EvaluationError
 from fracbvp.expr import Num, Op, Var
-from fracbvp.greens import _companion_terms, _value, green_branch_value, green_eval
+from fracbvp.greens import _companion_terms, _value, green_branch_value
 
 EXAMPLE_RHS = "sin(t)^2/(11*(exp(2*t)+3*exp(t)+1))*(3+t+5*u+v)"
 EXAMPLE_K = 1.0 / 11.0
@@ -290,7 +290,7 @@ def oracle_green_csv(params, m_t, m_s):
     singular = params.alpha - params.beta < 1.0
     header = "# s=1 rows omitted: kernel unbounded there (alpha-beta < 1)\n" if singular else ""
     rows = [
-        (t, s, green_eval(params, t, s))
+        (t, s, green_branch_value(params, float(t), float(s), True))
         for s in np.linspace(0.0, 1.0, m_s)
         if not (singular and s == 1.0)
         for t in np.linspace(0.0, 1.0, m_t)

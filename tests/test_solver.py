@@ -13,7 +13,6 @@ from fracbvp import (
     ProblemParams,
     ProblemSpec,
     SolutionPair,
-    caputo_grid,
     expr,
     gamma,
     linear_solve,
@@ -23,6 +22,7 @@ from fracbvp import (
 )
 from fracbvp.errors import EvaluationError
 from fracbvp import greens, solver
+from fracbvp.fracops import _caputo_l1
 from fracbvp.greens import companion_weight_matrix, green_weight_matrix, kernel_operators
 from fracbvp.solver import apply_T, pair_distance
 
@@ -209,15 +209,44 @@ def test_residual_builds_the_reduced_l1_weights_once(example_spec, monkeypatch):
     p = np.arange(8193.0) ** (1.0 - beta)
     scale = xi * pair.grid.h ** (-beta) / gamma(2.0 - beta)
     terms = scale * np.sum(np.abs((p[1:] - p[:-1])[::-1] * np.diff(pair.u.values)))
-    want = xi * abs(caputo_grid(beta, pair.u).values[-1])
+    want = xi * abs(_caputo_l1(beta, pair.grid)(pair.u.values)[-1])
     assert abs(rep.boundary_fractional - want) <= 1e-15 * terms
-    # bit for bit what one caputo_grid call per derivative gives
+    # bit for bit what one L1 map per derivative gives
     grid, u, v = pair.grid, pair.u.values, pair.v.values
-    du = GridFunction(grid, np.gradient(u, grid.h))
+    du = np.gradient(u, grid.h)
     f = solver._rhs_samples(example_spec, grid.nodes, u, v)
-    want = np.max(np.abs(caputo_grid(0.5, du).values[1:-1] - f[1:-1]))
+    want = np.max(np.abs(_caputo_l1(0.5, grid)(du)[1:-1] - f[1:-1]))
     assert rep.differential == want
-    assert rep.consistency == np.max(np.abs(caputo_grid(0.5, pair.u).values - v))
+    assert rep.consistency == np.max(np.abs(_caputo_l1(0.5, grid)(u) - v))
+
+
+def test_transform_counts(example_spec, monkeypatch):
+    # the pin of every transform in a solve: the build transforms G's and
+    # H's columns, and each sweep's product weights @ f transforms f once
+    # and inverts once per block
+    calls = {"rfft": 0, "irfft": 0}
+    for name in calls:
+        real = getattr(np.fft, name)
+
+        def counted(*args, _name=name, _real=real, **kwargs):
+            calls[_name] += 1
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(np.fft, name, counted)
+
+    def taken():
+        counts = dict(calls)
+        calls.update(rfft=0, irfft=0)
+        return counts
+
+    weights = kernel_operators(example_spec.params, Grid(129))
+    assert taken() == {"rfft": 2, "irfft": 0}
+    weights @ np.ones(129)
+    assert taken() == {"rfft": 1, "irfft": 2}
+    for n in (129, 513):
+        _, report = picard_solve(example_spec, n)
+        sweeps = report.iterations
+        assert taken() == {"rfft": 2 + sweeps, "irfft": 2 * sweeps}
 
 
 def test_residual_grid_minimum(example_spec, example_solution):
