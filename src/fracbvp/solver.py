@@ -145,9 +145,12 @@ def apply_T(spec: ProblemSpec, pair: SolutionPair, green_w, companion_w) -> Solu
 # The contraction witness: the last _WITNESS plain-step ratios must each be
 # < 1 and none may exceed the one before by more than the relative slack
 # _RISE (the ratios of a contracting map climb to their limit from below in
-# small steps).  _DEPTH is the number of past steps Anderson's method combines.
+# small steps).  A candidate whose step falls below _JUMP times the witnessed
+# ratio times the last step has outrun its history, which restarts.  _DEPTH
+# is the number of past steps Anderson's method combines.
 _WITNESS = 3
 _RISE = 0.01
+_JUMP = 0.01
 _DEPTH = 5
 
 
@@ -167,9 +170,8 @@ class _Anderson:
     Holds the last accepted iterate's image g = T x and residual f = g - x,
     and the differences dF, dG of up to ``_DEPTH`` consecutive residuals and
     images.  The candidate is g - dG gamma, where gamma minimizes the 2-norm
-    of f - dF gamma; it is solved from the Gram system of dF, formed afresh
-    for each candidate with dF's rows scaled to unit norm, so a candidate
-    costs O(_DEPTH^2 n) flops and no Gram matrix is kept between sweeps.
+    of f - dF gamma, fitted on dF itself as Walker & Ni do; its normal
+    equations would square the condition number that magnifies roundoff.
     """
 
     def __init__(self) -> None:
@@ -190,12 +192,8 @@ class _Anderson:
         self.g, self.f = g, f
 
     def candidate(self) -> np.ndarray:
-        gram = np.array([[a @ b for b in self.df] for a in self.df])
-        scale = np.sqrt(np.diag(gram))
-        scale[scale == 0.0] = 1.0
-        rhs = np.array([e @ self.f for e in self.df]) / scale
-        y, *_ = np.linalg.lstsq(gram / np.outer(scale, scale), rhs, rcond=None)
-        return self.g - (y / scale) @ np.array(self.dg)
+        y, *_ = np.linalg.lstsq(np.array(self.df).T, self.f, rcond=None)
+        return self.g - y @ np.array(self.dg)
 
 
 def _iterate(
@@ -259,6 +257,8 @@ def _iterate(
         if not candidate and last is not None:
             ratios.append(diff / last)
             witness = _witness(ratios)
+        if candidate and diff < _JUMP * witness * last:
+            history.restart()
         history.accept(gx, step)
         last = diff
         candidate = witness > 0.0 and len(history.df) > 0
@@ -288,13 +288,13 @@ def picard_solve(
     expanding map still runs into the norm cap or max_iter.  An Anderson
     candidate is kept only when its step ||T x - x|| is at most the
     witnessed ratio times the previous iterate's; otherwise the loop takes
-    the plain step instead and restarts the history.  Convergence is
+    the plain step instead and restarts the history, as it also does after
+    a kept candidate whose step is 100 times smaller still.  Convergence is
     tested on T images only: the returned pair is T x for an iterate x with
     ||T x - x|| <= tol.  ``report.accelerated`` flags the sweeps whose
-    iterate was an Anderson candidate, and ``report.observed_ratio`` is
-    the largest of the last three plain-step ratios, which come from the
-    witness steps and from the plain steps taken after a rejected
-    candidate; candidates never enter it.
+    iterate was a candidate, and ``report.observed_ratio`` is the largest
+    of the last three plain-step ratios, from the witness steps and the
+    plain steps after a rejected candidate; candidates never enter it.
 
     When the very first sweep already meets tol, the run restarts from a
     constant probe pair and reports that run instead.  One small step from

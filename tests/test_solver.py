@@ -22,7 +22,7 @@ from fracbvp import (
 )
 from fracbvp.errors import EvaluationError
 from fracbvp import greens, solver
-from fracbvp.fracops import _caputo_l1
+from fracbvp.fracops import KernelOperator, _caputo_l1
 from fracbvp.greens import companion_weight_matrix, green_weight_matrix, kernel_operators
 from fracbvp.solver import apply_T, pair_distance
 
@@ -449,6 +449,56 @@ def test_near_critical_contraction_is_accepted(example_params):
     assert report.converged and report.observed_ratio < 1.0
     ref = plain_picard(spec, 513, 1e-12)
     assert pair_distance(pair, ref) <= 1e-7 * max(1.0, pair_norm(ref))
+
+
+# perfbench solve_iterative configs (seed-op) whose first candidate cuts the
+# step by 3-4 orders of magnitude: (alpha, beta, xi, rhs), at n = 513
+JUMP_RHS = "-{}*u + {}*v^2/(1 + v^2) + exp(-{}*t)*sqrt(1 + {}*t)"
+JUMP_CASES = {
+    "1-1": (1.7733737, 0.38525718, 0.43702959,
+            JUMP_RHS.format(2.5820673, 0.11897392, 1.8964218, 0.7706103)),
+    "2-37": (1.5717312, 0.55461681, 0.35831003,
+             JUMP_RHS.format(1.9833879, 0.060511627, 2.5211147, 0.83265863)),
+    "3-74": (1.5279047, 0.47881895, 0.29546061,
+             JUMP_RHS.format(2.1098473, 0.08846756, 2.0643718, 0.37764353)),
+}
+
+
+def jump_solve(case):
+    alpha, beta, xi, rhs = JUMP_CASES[case]
+    return picard_solve(ProblemSpec(ProblemParams(alpha, beta, xi), parse(rhs)), 513, tol=1e-10)
+
+
+def test_history_restarts_after_a_jump():
+    # Differences from before the jump would spoil the next fit and get its
+    # candidate rejected (......AA.AAA, 12 sweeps); with the restart every
+    # candidate after the first is kept.
+    _, report = jump_solve("1-1")
+    flags = report.accelerated
+    assert report.iterations <= 10
+    assert all(flags[flags.index(True):])
+
+
+def test_sweep_count_of_the_jump_cases():
+    # a ledger pin: these took 12 + 12 + 10 sweeps before the restart
+    assert sum(jump_solve(case)[1].iterations for case in JUMP_CASES) <= 31
+
+
+@pytest.mark.parametrize("case", ["2-37", "3-74"])
+def test_operator_roundoff_is_not_magnified(case, monkeypatch):
+    # Scaling the Toeplitz columns by 1 + 2^-50 moves each apply by about an
+    # ulp.  Anderson's fit solved through its normal equations moved these
+    # solves by 1.0e-11 and 5.5e-12 relative.
+    pair, _ = jump_solve(case)
+    build = solver.kernel_operators
+
+    def scaled(params, grid):
+        op = build(params, grid)
+        return KernelOperator(op.column * (1 + 2**-50), op.factors)
+
+    monkeypatch.setattr(solver, "kernel_operators", scaled)
+    moved, _ = jump_solve(case)
+    assert pair_distance(moved, pair) <= 1e-13 * pair_norm(pair)
 
 
 # the perfbench solve box: alpha 1.3-1.9, beta 0.1-0.6, xi 0.2-0.6
