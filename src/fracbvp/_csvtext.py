@@ -6,10 +6,12 @@ what a per-value ``"%.15g" % x`` writer gives.  For 1e-8 <= |x| < 1e15, the
 the decimal exponent of |x|.  10^(14-E) is an exact double because
 0 <= 14-E <= 22.  Dekker's two-product (Numer. Math. 18, 1971) writes
 |x| * 10^(14-E) as p + e with no rounding, so D follows from the fraction
-of p and the sign of e.  E comes from ``log10``, corrected by one where D
-shows it was off near a power of ten.  Zeros are written directly.  Every
-other value (|x| < 1e-8 or >= 1e15, subnormals, inf, nan) is formatted on
-its own by ``"%.15g" % x``.
+of p and the sign of e.  E is the largest k with ``_POW10_E``'s 1e{k} <= |x|.
+The table is exact for k >= 0, and no double lies strictly between 10^k and
+its double, so only the doubles 1e-7 and 1e-6, which lie below 10^k, get E
+one high; they round to D = 10^14, as ``%.15g`` prints them after its carry.
+Zeros are written directly.  Every other value (|x| < 1e-8 or >= 1e15,
+subnormals, inf, nan) is formatted on its own by ``"%.15g" % x``.
 
 Every value gets a record of ``_WIDTH`` slots: the sign, the "0." and
 zeros in front of a small number, each digit of D followed by a point,
@@ -101,6 +103,7 @@ def _split(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 _POW10 = 10.0 ** np.arange(23)  # exact: each power of ten up to 10^22 is a double
 _POW10_HI, _POW10_LO = _split(_POW10)
+_POW10_E = np.array([float(f"1e{k}") for k in range(_MIN_EXP, 15)])  # the doubles nearest 10^k
 
 
 def _round_digits(a: np.ndarray, exp: np.ndarray) -> np.ndarray:
@@ -123,18 +126,8 @@ def _records(x: np.ndarray, sep: np.ndarray) -> np.ndarray:
     a = np.abs(x)
     exact = (a >= _LOW) & (a < _HIGH)
     a = np.where(exact, a, 1.0)
-    exp = np.clip(np.floor(np.log10(a)), _MIN_EXP, 14).astype(np.intp)
+    exp = np.searchsorted(_POW10_E, a, side="right") - 1 + _MIN_EXP
     digits = _round_digits(a, exp)
-    # log10 can be one off near a power of ten.  D >= 10^15 means E is one
-    # too low (or D rounded up to 10^15).  D <= 10^14 may mean E is one too
-    # high, and then the digits at E-1 round to at most 10^15.
-    fix = np.flatnonzero(exact & ((digits <= 1e14) | (digits >= 1e15)))
-    if fix.size:
-        up = digits[fix] >= 1e15
-        exp_fix = np.clip(exp[fix] + np.where(up, 1, -1), _MIN_EXP, 14)
-        digits_fix = _round_digits(a[fix], exp_fix)
-        take = up | (digits_fix <= 1e15)
-        exp[fix[take]], digits[fix[take]] = exp_fix[take], digits_fix[take]
     exact &= (digits >= 1e14) & (digits <= 1e15)  # else written per value below
     carry = digits == 1e15  # rounded up to the next power of ten
     digits[carry] = 1e14

@@ -68,8 +68,8 @@ decreasing F, a Newton step from a point with F(z) >= 0 lands on the zero
 of the tangent, which lies below F, hence at or below the root: the
 iterates increase monotonically to the root and never overshoot (Kelley,
 Solving Nonlinear Equations with Newton's Method, SIAM 2003, ch. 1).  So
-no bracket is needed, and the iteration stops when no iterate increases
-any more.
+no bracket is needed, and the iteration stops when no iterate both
+increases and has F above roundoff, a few eps times its positive part.
 """
 
 from __future__ import annotations
@@ -237,13 +237,15 @@ def gstar_coarse_bound(p: ProblemParams) -> float:
     return (1.0 / gamma(a + 1.0) + gamma(2.0 - b) / gamma(a - b + 1.0)) / (1.0 - p.xi)
 
 
-# Guard on the Newton passes of green_sign_change; the loop ends when no
-# iterate moves, after 7-10 passes typically and under 20 at the parameter edges.
-_NEWTON_MAX_PASSES = 64
+# Guard on the Newton passes of green_sign_change, which end when F is at most
+# _NEWTON_ROUNDOFF (about 2 eps) times its positive part wherever a step still
+# grows: after 6-9 passes typically and under 20 at the parameter edges.
+_NEWTON_MAX_PASSES, _NEWTON_ROUNDOFF = 64, 4e-16
 
 
-def _convex_residual(z, scale, ga, ratio, sing, b, q):
-    """F(z) of the module docstring and dF/dz, with scale = (1-t)^beta.
+def _convex_residual(z, c1, c0, sing, kq, b, q):
+    """F(z) of the module docstring, -dF/dz and F's positive part c1 e^-z + c0,
+    with c1 = (1-t)^beta / Gamma(alpha), c0 = (1-t)^beta A, kq = B(t) beta q.
 
     x = e^(-q z) is (t-s)/(1-s) and w = -expm1(-q z) is 1 - x, kept
     without cancellation for x near 1.
@@ -251,9 +253,8 @@ def _convex_residual(z, scale, ga, ratio, sing, b, q):
     log_x = -q * z
     e, x, w = np.exp(-z), np.exp(log_x), -np.expm1(log_x)
     wb = w**b
-    f = scale * (e / ga + ratio) - sing * wb
-    df = -scale * e / ga - sing * b * q * x * wb / w
-    return f, df
+    positive = c1 * e + c0
+    return positive - sing * wb, c1 * e + kq * x * wb / w, positive
 
 
 def green_sign_change(p: ProblemParams, t) -> np.ndarray:
@@ -285,13 +286,14 @@ def green_sign_change(p: ProblemParams, t) -> np.ndarray:
     if len(idx):
         tl, bl = t1[idx], sing[idx]
         scale, q = (1.0 - tl) ** b, 1.0 / (a - 1.0)
+        c1, c0, kq = scale / ga, scale * ratio, bl * b * q
         # Start at s = 0 or, if larger, at the z where scale (e^-z/Gamma(alpha)
         # + A) = B(t) >= B(t) w^beta; F >= 0 at both, so both lie below the root.
         z = np.maximum(-(a - 1.0) * np.log(tl), -np.log(ga * (bl - scale * ratio) / scale))
         for _ in range(_NEWTON_MAX_PASSES):
-            f, df = _convex_residual(z, scale, ga, ratio, bl, b, q)
-            step = z - f / df
-            grow = step > z
+            f, slope, positive = _convex_residual(z, c1, c0, bl, kq, b, q)
+            step = z + f / slope
+            grow = (step > z) & (f > _NEWTON_ROUNDOFF * positive)
             if not grow.any():
                 break
             z = np.where(grow, step, z)
@@ -307,9 +309,10 @@ def green_abs_mass(p: ProblemParams, t) -> np.ndarray:
     P(t, x) = integral_0^x G(t, s) ds, M(t) = 2 P(t, s*) - P(t, 1).
     """
     t = np.asarray(t, dtype=float)
-    terms = _green_terms(p)
+    s_star = green_sign_change(p, t)
     with np.errstate(divide="ignore"):  # log1p(-1) = -inf, where expm1 gives -1
-        return 2.0 * _primitive(terms, t, green_sign_change(p, t)) - _primitive(terms, t, 1.0)
+        mass = _primitive(_green_terms(p), t, np.stack([s_star, np.ones_like(s_star)]))
+    return 2.0 * mass[0] - mass[1]
 
 
 def gstar(p: ProblemParams, m: int = 513, *, n: int | None = None) -> float:

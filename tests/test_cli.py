@@ -12,6 +12,7 @@ import pytest
 
 import fracbvp
 from fracbvp import AffinePsi, ConfigError, GrowthSpec, cli
+from fracbvp._csvtext import csv_rows
 from fracbvp.cli import main, parse_config
 
 from conftest import oracle_green_csv, oracle_solution_csv
@@ -541,3 +542,68 @@ def test_module_entry_point(tmp_path):
     )
     assert proc.returncode == 0
     assert "unique=true" in proc.stdout
+
+
+# Run in a child process: the CLI's outputs and csv_rows of a saved table,
+# with numpy's dispatch set by the environment the child starts with.
+_DISPATCH_CHILD = """
+import contextlib, sys
+import numpy as np
+from numpy._core import _multiarray_umath as umath
+from fracbvp._csvtext import csv_rows
+from fracbvp.cli import main
+
+example, sampled, table, out = sys.argv[1:]
+print(*[f for f in umath.__cpu_dispatch__ if umath.__cpu_features__[f]])
+for name, cfg in (("example", example), ("sampled", sampled)):
+    with open(f"{out}/{name}.txt", "w") as f, contextlib.redirect_stdout(f):
+        assert main(["certify", "--config", cfg]) == 0
+with open(f"{out}/table.csv", "w") as f:
+    f.write(csv_rows(np.load(table)))
+with contextlib.redirect_stdout(None):
+    assert main(["solve", "--config", example, "--out", out, "--grid", "2049", "--tol", "1e-10"]) == 0
+"""
+
+
+def test_outputs_under_baseline_simd_dispatch(tmp_path, capsys):
+    # numpy picks SIMD loops per CPU; disabling every dispatch target this
+    # CPU has runs the loops an older CPU would run.  The certificate and the
+    # CSV text must not change, and a solve moves only by roundoff.
+    from numpy._core import _multiarray_umath as umath
+
+    disabled = [f for f in umath.__cpu_dispatch__ if umath.__cpu_features__.get(f)]
+    if not disabled:
+        pytest.skip("numpy dispatches no SIMD loops above its baseline here")
+    example = write_config(tmp_path)
+    sampled = write_config(
+        tmp_path, "alpha = 1.3\nbeta = 0.6\nxi = 0.4\nrhs = 0.3*u/(1 + u^2) + 0.2*sin(v)*exp(-t)\n", "sampled.cfg"
+    )
+    # from integer mantissas and exponents, so numpy's power plays no part
+    rng = np.random.default_rng(18)
+    mantissas = rng.integers(-(2**53) + 1, 2**53, size=(2048, 3)).astype(float)
+    table = np.ldexp(mantissas, rng.integers(-110, 20, size=mantissas.shape))
+    np.save(tmp_path / "table.npy", table)
+    child = tmp_path / "baseline"
+    child.mkdir()
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    proc = subprocess.run(
+        [sys.executable, "-c", _DISPATCH_CHILD, example, sampled, str(tmp_path / "table.npy"), str(child)],
+        capture_output=True,
+        text=True,
+        timeout=300,
+        env={**os.environ, "PYTHONPATH": path, "NPY_DISABLE_CPU_FEATURES": " ".join(disabled)},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == ""  # no dispatch target left on in the child
+
+    for name, cfg in (("example", example), ("sampled", sampled)):
+        assert main(["certify", "--config", cfg]) == 0
+        assert (child / f"{name}.txt").read_text() == capsys.readouterr().out
+    assert (child / "table.csv").read_text() == csv_rows(table)
+    assert main(["solve", "--config", example, "--out", str(tmp_path), "--grid", "2049", "--tol", "1e-10"]) == 0
+    here = np.loadtxt(tmp_path / "solution.csv", delimiter=",", skiprows=1)
+    there = np.loadtxt(child / "solution.csv", delimiter=",", skiprows=1)
+    assert np.array_equal(here[:, 0], there[:, 0])
+    for col in (1, 2):
+        assert np.max(np.abs(here[:, col] - there[:, col])) <= 1e-12 * max(1.0, np.max(np.abs(here[:, col])))

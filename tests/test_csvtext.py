@@ -1,6 +1,7 @@
 """The numpy CSV formatter against Python's per-value ``format(x, ".15g")``."""
 
 import struct
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -73,8 +74,14 @@ def test_worked_example_needs_no_per_value_fallback(example_spec, per_value, n):
 
 
 def test_values_near_powers_of_ten_inside_the_range_need_no_fallback(per_value):
-    # log10 is one off for some of these; the fix-up alone must place them
-    values = [nudge(10.0**j, steps) for j in range(-7, 15) for steps in range(-3, 4)]
+    # the exponent table holds the correctly rounded powers of ten
+    for i, k in enumerate(range(-8, 15)):
+        assert _csvtext._POW10_E[i] == float(f"1e{k}")
+    # 1e-7 and 1e-6 are the powers whose doubles lie below 10^k; the lookup
+    # puts them one decade high, where they round to D = 10^14
+    assert [k for k in range(-8, 0) if Fraction(float(f"1e{k}")) < Fraction(10) ** k] == [-7, -6]
+    values = [nudge(float(f"1e{k}"), steps) for k in range(-8, 15) for steps in range(-40, 41)]
+    values = [x for x in values if 1e-8 <= x < 1e15]
     table = np.array(values + [-x for x in values]).reshape(-1, 2)
     assert csv_rows(table) == oracle_csv_rows(table)
     assert per_value == []
