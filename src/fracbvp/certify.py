@@ -22,8 +22,10 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
+import numpy as np
+
 from .errors import DomainError
-from .expr import lipschitz_estimate
+from .expr import NODE_U, NODE_V, Expr, lattice_samples, lipschitz_estimate, state_lattice
 from .fracops import gamma
 from .greens import ProblemParams, gstar, gstar_coarse_bound
 from .solver import ProblemSpec
@@ -133,8 +135,10 @@ def certify(
 
     When no Lipschitz constant is supplied, one is estimated by sampled
     finite differences of the right-hand side and the certificate is flagged
-    ``estimated_k``.  ``m`` is the number of t nodes of the gstar scan;
-    ``n`` is ignored and kept only for the signature.
+    ``estimated_k``.  A supplied ``k`` and ``growth`` are taken as given;
+    :func:`contradiction` tests them against samples of the right-hand
+    side.  ``m`` is the number of t nodes of the gstar scan; ``n`` is
+    ignored and kept only for the signature.
     """
     params = spec.params
     gs = gstar(params, m=m)
@@ -155,3 +159,46 @@ def certify(
         exists=r is not None,
         estimated_k=estimated,
     )
+
+
+# contradiction's samples: t in {0, 1/2, 1} on the state lattice and its
+# probes, 3 x 25 x 4 = 300 points
+_CHECK_POINTS = state_lattice(np.array([0.0, 0.5, 1.0]))
+
+
+def contradiction(rhs: Expr, k: Optional[float], growth: Optional[GrowthSpec]) -> Optional[str]:
+    """Why samples of f disprove a supplied ``k`` or ``growth``, or None.
+
+    f is sampled once at t in {0, 1/2, 1} on the state lattice of
+    :func:`lipschitz_estimate` and its four probes, 300 points.  Each central
+    difference quotient is a lower bound on the Lipschitz constant up to a
+    roundoff below about 4.4e-10 max|f| (steps are at least 1e-6), so ``k`` is
+    disproved when a quotient exceeds k + 1e-9 (k + max|f|).  ``growth`` is
+    disproved by a sample with |f| > p_star psi(max(|u|, |v|)) + 1e-9 (1 + |f|).
+    The text names the key, the sampled value and the point (t, u, v).
+    """
+    if k is None and growth is None:
+        return None
+    t, u, v = _CHECK_POINTS
+    f, fu, fv = lattice_samples(rhs, _CHECK_POINTS)
+    size = np.abs(f)
+    if k is not None:
+        quotient = np.maximum(np.abs(fu), np.abs(fv))
+        i, j, l = np.unravel_index(np.argmax(quotient), quotient.shape)
+        if quotient[i, j, l] > k + 1e-9 * (k + size.max()):
+            return (
+                f"key 'k': {k!r} is below the sampled difference quotient "
+                f"{quotient[i, j, l]:.12g} of rhs at (t, u, v) = "
+                f"({t[i, j, l, 0]:.12g}, {NODE_U[j, l]:.12g}, {NODE_V[j, l]:.12g})"
+            )
+    if growth is not None:
+        bound = growth.p_star * (growth.psi.a + growth.psi.b * np.maximum(np.abs(u), np.abs(v)))
+        excess = size - bound - 1e-9 * (1.0 + size)
+        at = np.unravel_index(np.argmax(excess), excess.shape)
+        if excess[at] > 0.0:
+            return (
+                f"key 'p_star': |rhs| = {size[at]:.12g} exceeds p_star * "
+                f"psi(max(|u|, |v|)) = {bound[at]:.12g} at (t, u, v) = "
+                f"({t[at]:.12g}, {u[at]:.12g}, {v[at]:.12g})"
+            )
+    return None

@@ -26,7 +26,7 @@ import numpy as np
 
 from . import __version__
 from ._csvtext import csv_rows
-from .certify import AffinePsi, Certificate, GrowthSpec, certify, theta
+from .certify import AffinePsi, Certificate, GrowthSpec, certify, contradiction, theta
 from .errors import (
     ConfigError,
     DivergenceError,
@@ -287,6 +287,9 @@ def _is_example_params(params: ProblemParams) -> bool:
 
 
 def cmd_certify(config: Config, out_dir: Optional[str]) -> int:
+    refuted = contradiction(config.rhs, config.k, config.growth)
+    if refuted is not None:
+        raise ConfigError(refuted)
     spec = ProblemSpec(config.params, config.rhs)
     cert = certify(spec, k=config.k, growth=config.growth)
     lines = _certificate_lines(cert)

@@ -326,8 +326,37 @@ def to_source(e: Expr) -> str:
     raise TypeError(f"not an expression node: {e!r}")
 
 
-_T_SAMPLES = 65
-_STATE_BOUND = 10.0
+# The state lattice of the sampled checks: 5 nodes per axis on [-10, 10]^2,
+# each with four central-difference probes, steps 1e-6 * (1 + |coordinate|).
+_AXIS = 10.0 * np.array([-1.0, -0.5, 0.0, 0.5, 1.0])
+NODE_U, NODE_V = np.meshgrid(_AXIS, _AXIS, indexing="ij")
+_DU, _DV = 1e-6 * (1.0 + np.abs(NODE_U)), 1e-6 * (1.0 + np.abs(NODE_V))
+
+
+def state_lattice(ts: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The points (t, u, v) of the sampled checks: each t of ``ts`` crossed
+    with the state lattice and its probes (u+du, u-du, v+dv, v-dv), as
+    contiguous arrays of shape (len(ts), 5, 5, 4).
+
+    C order is the order of the nested scalar loop t -> u -> v -> probe, so
+    the first failing point reported is the one that loop would hit first.
+    Built once per t column: evaluate then needs no broadcast.
+    """
+    probe_u = np.stack([NODE_U + _DU, NODE_U - _DU, NODE_U, NODE_U], axis=-1)
+    probe_v = np.stack([NODE_V, NODE_V, NODE_V + _DV, NODE_V - _DV], axis=-1)
+    points = np.broadcast_arrays(ts[:, None, None, None], probe_u, probe_v)
+    return tuple(np.ascontiguousarray(x) for x in points)
+
+
+def lattice_samples(e: Expr, points: tuple[np.ndarray, ...]) -> tuple[np.ndarray, ...]:
+    """f at the points of :func:`state_lattice`, and its central-difference
+    quotients in u and v at each (t, node): (f, fu, fv).
+    """
+    f = evaluate(e, *points)
+    return f, (f[..., 0] - f[..., 1]) / (2 * _DU), (f[..., 2] - f[..., 3]) / (2 * _DV)
+
+
+_LIPSCHITZ_POINTS = state_lattice(np.arange(65) / 64)
 
 
 def lipschitz_estimate(e: Expr) -> float:
@@ -338,19 +367,5 @@ def lipschitz_estimate(e: Expr) -> float:
     an estimate, not a certified constant: it can undershoot the true
     Lipschitz constant between samples.
     """
-    ts = np.arange(_T_SAMPLES) / (_T_SAMPLES - 1)
-    lattice = _STATE_BOUND * np.array([-1.0, -0.5, 0.0, 0.5, 1.0])
-    u, v = np.meshgrid(lattice, lattice, indexing="ij")
-    du, dv = 1e-6 * (1.0 + np.abs(u)), 1e-6 * (1.0 + np.abs(v))
-    # axes (t, u, v, probe); C order is the order of the nested scalar loop
-    # t -> u -> v -> (u+du, u-du, v+dv, v-dv), so the first failing point
-    # reported is the one that loop would have hit first
-    f = evaluate(
-        e,
-        ts[:, None, None, None],
-        np.stack([u + du, u - du, u, u], axis=-1),
-        np.stack([v, v, v + dv, v - dv], axis=-1),
-    )
-    fu = (f[..., 0] - f[..., 1]) / (2 * du)
-    fv = (f[..., 2] - f[..., 3]) / (2 * dv)
+    _, fu, fv = lattice_samples(e, _LIPSCHITZ_POINTS)
     return float(max(np.max(np.abs(fu)), np.max(np.abs(fv))))

@@ -47,15 +47,13 @@ least A > 0.  So integral_0^1 |G(t, s)| ds has a closed form in the one
 sign change s*(t), which is how :func:`gstar` scans all t in one array
 pass.
 
-When g(t) >= 0 the sign change lies on the right branch, where g =
-r^beta A - B(t), so s* = 1 - (B(t)/A)^(1/beta).  At t = 1 the left branch
-is g = r^beta (1/Gamma(alpha) + A) - B(1), so s* = 1 -
-(B(1)/(1/Gamma(alpha) + A))^(1/beta).  When g(0) <= 0, s* = 0.
-
-Otherwise g(0) > 0 > g(t) with t < 1, and the root is found in the
-variable x = (t-s)/(1-s), which runs from t at s = 0 down to 0 at s = t,
-and then z = -(alpha-1) ln x >= 0, so that x^(alpha-1) = e^(-z) and
-1 - s = (1-t)/(1-x).  Multiplying g by (1-x)^beta > 0 gives
+When g(0) <= 0, s* = 0.  When g(0) > 0 and the bracket is constant where g
+changes sign, s* = 1 - (B(t)/(A + [t = 1]/Gamma(alpha)))^(1/beta): the
+bracket is A on the right branch (g(t) >= 0), and A + 1/Gamma(alpha) for
+every s < 1 at t = 1.  Otherwise g(0) > 0 > g(t) with t < 1, and the root
+is found in the variable x = (t-s)/(1-s), which runs from t at s = 0 down
+to 0 at s = t, and then z = -(alpha-1) ln x >= 0, so that x^(alpha-1) =
+e^(-z) and 1 - s = (1-t)/(1-x).  Multiplying g by (1-x)^beta > 0 gives
 
     F(z) = (1-t)^beta (e^(-z)/Gamma(alpha) + A) - B(t) w(z)^beta,
     w(z) = 1 - x = -expm1(-z/(alpha-1)),
@@ -261,11 +259,12 @@ def green_sign_change(p: ProblemParams, t) -> np.ndarray:
     """The point s* in [0, 1] where G(t, .) changes sign, for an array of t.
 
     G(t, s) >= 0 for s <= s* and G(t, s) <= 0 for s >= s*, with s* = 0 when
-    G(t, .) is nowhere positive.  s* is closed form on the right branch
-    (g(t) >= 0) and at t = 1; elsewhere on the left it is the root of F,
-    found by Newton's method run on all such t at once.  The lemma, the
-    closed forms and the reason no bracket is needed are in the module
-    docstring.
+    G(t, .) is nowhere positive.  Where g(0) > 0 and g's bracket is constant
+    (on the right branch, g(t) >= 0, and at t = 1) s* is one closed form,
+    1 - (B(t)/(A + [t = 1]/Gamma(alpha)))^(1/beta); at every other t with
+    g(0) > 0 it is the root of F, found by Newton's method run on all such t
+    at once.  The lemma, the closed form and the reason no bracket is needed
+    are in the module docstring.
     """
     t = np.asarray(t, dtype=float)
     a, b = p.alpha, p.beta
@@ -273,16 +272,14 @@ def green_sign_change(p: ProblemParams, t) -> np.ndarray:
     ga = gamma(a)
     t1 = np.atleast_1d(t)
     sing = -minus_sing(t1)
+    at_one = t1 == 1.0
     # an overflowing closed form is never selected
     with np.errstate(over="ignore"):
         g0 = t1 ** (a - 1.0) / ga + ratio - sing  # g(0)
         on_right = (1.0 - t1) ** b * ratio - sing >= 0.0  # g(t) >= 0
-        out = np.where(on_right, 1.0 - (sing / ratio) ** (1.0 / b), 0.0)
-    left = (g0 > 0.0) & ~on_right
-    at_one = left & (t1 == 1.0)
-    out[at_one] = 1.0 - (sing[at_one] / (1.0 / ga + ratio)) ** (1.0 / b)
-    out[g0 <= 0.0] = 0.0
-    idx = np.flatnonzero(left & (t1 < 1.0))
+        closed = (on_right | at_one) & (g0 > 0.0)
+        out = np.where(closed, 1.0 - (sing / (ratio + at_one / ga)) ** (1.0 / b), 0.0)
+    idx = np.flatnonzero((g0 > 0.0) & ~closed)
     if len(idx):
         tl, bl = t1[idx], sing[idx]
         scale, q = (1.0 - tl) ** b, 1.0 / (a - 1.0)

@@ -17,6 +17,7 @@ from fracbvp import (
     parse,
     theta,
 )
+from fracbvp.certify import contradiction
 from fracbvp.cli import _certificate_lines
 
 EXAMPLE_K = 1.0 / 11.0
@@ -151,3 +152,19 @@ def test_numpy_k_gives_a_json_ready_certificate(example_spec):
     d = json.loads(json.dumps(cert.as_dict()))
     assert d["unique"] is True and d["k"] == EXAMPLE_K
     assert "unique=true" in _certificate_lines(cert)
+
+
+def test_contradiction_refutes_only_what_the_samples_disprove(example_spec):
+    linear = parse("3*u + 0.5*v")
+    assert contradiction(linear, 3.0, None) is None
+    assert contradiction(linear, 2.9, None).startswith("key 'k': 2.9 is below")
+    # |1 + u/2| <= 1 + max(|u|, |v|)/2, with equality at u = 10
+    affine = parse("1 + 0.5*u")
+    assert contradiction(affine, None, GrowthSpec(1.0, AffinePsi(1.0, 0.5))) is None
+    assert contradiction(affine, None, GrowthSpec(1.0, AffinePsi(1.0, 0.49))).startswith("key 'p_star'")
+    assert contradiction(affine, None, None) is None
+    # the example's k = 1/11 stands; its sampled quotients reach 0.0195
+    assert contradiction(example_spec.rhs, EXAMPLE_K, None) is None
+    assert contradiction(example_spec.rhs, 0.019, None) is not None
+    # certify itself takes what it is given
+    assert certify(ProblemSpec(example_spec.params, linear), k=0.1, m=33).k == 0.1

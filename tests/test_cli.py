@@ -446,6 +446,32 @@ def test_certify_affine_growth_with_estimated_k_stdout(tmp_path, capsys):
     )
 
 
+@pytest.mark.parametrize(
+    "claim, message",
+    [
+        (
+            "rhs = 5 + 2*u + v\nk = 0.1\n",
+            r"key 'k': 0\.1 is below the sampled difference quotient 2\.000000000\d* of rhs at \(t, u, v\) = \(0, 0, -10\)",
+        ),
+        (
+            "rhs = 5 + 0.1*sin(u)\np_star = 0.001\npsi_kind = constant\npsi_a = 1\n",
+            r"key 'p_star': \|rhs\| = 5\.0958\d* exceeds p_star \* psi\(max\(\|u\|, \|v\|\)\) = 0\.001 at \(t, u, v\) = \(0, -4\.999994, -10\)",
+        ),
+    ],
+    ids=("k", "growth"),
+)
+def test_certify_refuses_a_claim_its_samples_contradict(tmp_path, capsys, claim, message):
+    # f's own samples disprove the supplied k (the true one is 2) and the
+    # growth block (f >= 4.9 everywhere): exit 2, one line, nothing written
+    out = tmp_path / "cert"
+    cfg = write_config(tmp_path, "alpha = 1.5\nbeta = 0.5\nxi = 0.5\n" + claim)
+    assert main(["certify", "--config", cfg, "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert re.fullmatch(f"config error: {message}\n", captured.err), captured.err
+    assert not out.exists()
+
+
 def test_green_table_values(tmp_path, capsys):
     cfg = write_config(tmp_path)
     out = tmp_path / "g"
@@ -565,15 +591,24 @@ with contextlib.redirect_stdout(None):
 """
 
 
-def test_outputs_under_baseline_simd_dispatch(tmp_path, capsys):
+def _baseline_dispatch_env():
     # numpy picks SIMD loops per CPU; disabling every dispatch target this
-    # CPU has runs the loops an older CPU would run.  The certificate and the
-    # CSV text must not change, and a solve moves only by roundoff.
+    # CPU has runs the loops an older CPU would run.  The environment of such
+    # a child, with this package on its path; skips when there is none.
     from numpy._core import _multiarray_umath as umath
 
     disabled = [f for f in umath.__cpu_dispatch__ if umath.__cpu_features__.get(f)]
     if not disabled:
         pytest.skip("numpy dispatches no SIMD loops above its baseline here")
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    return {**os.environ, "PYTHONPATH": path, "NPY_DISABLE_CPU_FEATURES": " ".join(disabled)}
+
+
+def test_outputs_under_baseline_simd_dispatch(tmp_path, capsys):
+    # The certificate and the CSV text must not change under the baseline
+    # loops, and a solve moves only by roundoff.
+    env = _baseline_dispatch_env()
     example = write_config(tmp_path)
     sampled = write_config(
         tmp_path, "alpha = 1.3\nbeta = 0.6\nxi = 0.4\nrhs = 0.3*u/(1 + u^2) + 0.2*sin(v)*exp(-t)\n", "sampled.cfg"
@@ -585,14 +620,12 @@ def test_outputs_under_baseline_simd_dispatch(tmp_path, capsys):
     np.save(tmp_path / "table.npy", table)
     child = tmp_path / "baseline"
     child.mkdir()
-    src = os.path.dirname(os.path.dirname(cli.__file__))
-    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
     proc = subprocess.run(
         [sys.executable, "-c", _DISPATCH_CHILD, example, sampled, str(tmp_path / "table.npy"), str(child)],
         capture_output=True,
         text=True,
         timeout=300,
-        env={**os.environ, "PYTHONPATH": path, "NPY_DISABLE_CPU_FEATURES": " ".join(disabled)},
+        env=env,
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == ""  # no dispatch target left on in the child
@@ -607,3 +640,28 @@ def test_outputs_under_baseline_simd_dispatch(tmp_path, capsys):
     assert np.array_equal(here[:, 0], there[:, 0])
     for col in (1, 2):
         assert np.max(np.abs(here[:, col] - there[:, col])) <= 1e-12 * max(1.0, np.max(np.abs(here[:, col])))
+
+
+_ACCEPTANCE_CHILD = """
+import sys
+import pytest
+from numpy._core import _multiarray_umath as umath
+print("left on:", *[f for f in umath.__cpu_dispatch__ if umath.__cpu_features__[f]])
+sys.exit(pytest.main(["-q", "-p", "no:cacheprovider", sys.argv[1]]))
+"""
+
+
+def test_acceptance_pins_under_baseline_simd_dispatch():
+    # criteria 01-10 hold under the loops an older CPU would run
+    tests = Path(__file__).resolve().parent
+    proc = subprocess.run(
+        [sys.executable, "-c", _ACCEPTANCE_CHILD, str(tests / "test_acceptance.py")],
+        capture_output=True,
+        text=True,
+        timeout=300,
+        cwd=tests.parent,
+        env=_baseline_dispatch_env(),
+    )
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert proc.stdout.startswith("left on:\n")
+    assert re.search(r"^10 passed", proc.stdout, flags=re.M), proc.stdout

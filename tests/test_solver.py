@@ -484,6 +484,30 @@ def test_sweep_count_of_the_jump_cases():
     assert sum(jump_solve(case)[1].iterations for case in JUMP_CASES) <= 31
 
 
+@pytest.mark.parametrize("case", ["example", *JUMP_CASES])
+def test_rhs_evaluations_per_solve(case, monkeypatch, example_spec):
+    # a ledger pin: one evaluation of f per sweep, and one in the residual
+    # (today 5, 10, 11 and 10 sweeps)
+    calls = [0]
+    real = solver.evaluate
+
+    def counting(*args):
+        calls[0] += 1
+        return real(*args)
+
+    monkeypatch.setattr(solver, "evaluate", counting)
+    if case == "example":
+        spec = example_spec
+    else:
+        alpha, beta, xi, rhs = JUMP_CASES[case]
+        spec = ProblemSpec(ProblemParams(alpha, beta, xi), parse(rhs))
+    pair, report = picard_solve(spec, 513, tol=1e-10)
+    assert calls[0] == report.iterations
+    calls[0] = 0
+    residual(spec, pair)
+    assert calls[0] == 1
+
+
 @pytest.mark.parametrize("case", ["2-37", "3-74"])
 def test_operator_roundoff_is_not_magnified(case, monkeypatch):
     # Scaling the Toeplitz columns by 1 + 2^-50 moves each apply by about an
