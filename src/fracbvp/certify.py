@@ -6,7 +6,7 @@ constant k, the fixed-point operator contracts in the pair norm whenever
     d = max(2 k gstar, 2 k theta) < 1,
 
 where gstar is the kernel mass sup_t integral |G(t, s)| ds and theta is the
-companion-kernel envelope
+companion-kernel envelope, H's triangle mass (greens.theta):
 
     theta = 1 + Gamma(2-beta) / (Gamma(3-alpha) Gamma(alpha-beta+1)).
 
@@ -26,8 +26,7 @@ import numpy as np
 
 from .errors import DomainError
 from .expr import NODE_U, NODE_V, Expr, lattice_samples, lipschitz_estimate, state_lattice
-from .fracops import gamma
-from .greens import ProblemParams, gstar, gstar_coarse_bound
+from .greens import ProblemParams, gstar, gstar_coarse_bound, theta
 from .solver import ProblemSpec
 
 
@@ -89,12 +88,6 @@ class Certificate:
             "exists": self.exists,
             "estimated_k": self.estimated_k,
         }
-
-
-def theta(params: ProblemParams) -> float:
-    """Companion-kernel envelope; always exceeds 1."""
-    a, b = params.alpha, params.beta
-    return 1.0 + gamma(2.0 - b) / (gamma(3.0 - a) * gamma(a - b + 1.0))
 
 
 def contraction_constant(params: ProblemParams, k: float, gstar_value: float) -> float:

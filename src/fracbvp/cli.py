@@ -255,6 +255,7 @@ def cmd_solve(config: Config, out_dir: str) -> int:
         "max_iter": config.max_iter,
         "converged": report.converged,
         "iterations": report.iterations,
+        "probe_restart": report.restarted,
         "final_diff": report.diffs[-1],
         "observed_ratio": report.observed_ratio,
         "diffs": list(report.diffs),

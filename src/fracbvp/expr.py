@@ -351,8 +351,19 @@ def state_lattice(ts: np.ndarray) -> tuple[np.ndarray, ...]:
 def lattice_samples(e: Expr, points: tuple[np.ndarray, ...]) -> tuple[np.ndarray, ...]:
     """f at the points of :func:`state_lattice`, and its central-difference
     quotients in u and v at each (t, node): (f, fu, fv).
+
+    A failing evaluation raises :class:`EvaluationError` naming the first
+    failing point (t, u, v) of the lattice.
     """
-    f = evaluate(e, *points)
+    try:
+        f = evaluate(e, *points)
+    except EvaluationError as exc:
+        t, u, v = (x.flat[exc.index] for x in points)
+        raise EvaluationError(
+            f"right-hand side failed on the sampled state lattice at (t, u, v) = "
+            f"({t:.12g}, {u:.12g}, {v:.12g}): {exc}",
+            exc.index,
+        ) from exc
     return f, (f[..., 0] - f[..., 1]) / (2 * _DU), (f[..., 2] - f[..., 3]) / (2 * _DV)
 
 

@@ -23,17 +23,21 @@ as G's first term is the order-alpha one.  Both kernels are weakly singular
 at s = 1 when alpha - beta < 1, yet their moments against hat functions are
 finite, so grid weights exist for every admissible parameter triple.
 
-Each kernel is written once, as a table of terms (``_green_terms``,
-``_companion_terms``); the term tables are where the formulas live.  The
-grid weights, the pointwise values and G's antiderivative are derived from
-them term by term, each by one function.  On a uniform grid the weights of
-both kernels are one :class:`fracops.KernelOperator` of shape (2n, n), G's
-rows over H's, so the fixed-point map (G f, H f) is one product: in each
-block the (t-s)_+ terms give a lower-triangular Toeplitz matrix plus a
-rank-1 correction of column 0, and the (1-s) terms a rank-2 (G) or rank-1
-(H) update, so the weights take O(n) memory and apply in O(n log n).  The dense n x n
-matrices of :func:`green_weight_matrix` and :func:`companion_weight_matrix`
-are the expansions of each block, kept as a small-n reference for tests.
+G is the one kernel written by hand, as a table of terms
+(``_green_terms``) whose coefficients are sums of monomials k t^e.
+Everything else is derived from that table: H's table is its Caputo
+derivative of order alpha-1 in t, taken term by term (``_dt``); the
+certificate's theta and the coarse G* bound are the triangle masses of the
+two tables (``_triangle_mass``); and the grid weights, the pointwise values
+and G's antiderivative come from a table term by term, each by one
+function.  On a uniform grid the weights of both kernels are one
+:class:`fracops.KernelOperator` of shape (2n, n), G's rows over H's, so the
+fixed-point map (G f, H f) is one product: in each block the (t-s)_+ terms
+give a lower-triangular Toeplitz matrix plus a rank-1 correction of column
+0, and the (1-s) terms a rank-2 (G) or rank-1 (H) update, so the weights
+take O(n) memory and apply in O(n log n).  The dense n x n matrices of
+:func:`green_weight_matrix` and :func:`companion_weight_matrix` are the
+expansions of each block, kept as a small-n reference for tests.
 
 For each t, G(t, .) changes sign at most once, from + to -.  With r = 1-s,
 A = xi/(Gamma(alpha)(1-xi)) and B(t) the coefficient of the singular term,
@@ -98,29 +102,66 @@ class ProblemParams:
             raise DomainError(f"xi must lie in (0, 1), got {x!r}")
 
 
-# A kernel's terms are (kind, q, c): a coefficient c, a float or a function
-# of t, times
+# A kernel's terms are (kind, q, c): a coefficient c, a tuple of monomials
+# (k, e) meaning c(t) = sum of k t^e with every e >= 0, times
 #   "left"   (t-s)_+^(q-1) / Gamma(q), the Riemann-Liouville kernel, zero for
 #            s >= t (so at q = 1 it is 1_{s<t});
 #   "right"  (1-s)^(q-1).
-# Left coefficients are constants, so those terms stay Toeplitz.
+# Left coefficients are constants (e = 0), so those terms stay Toeplitz.
 
 
 def _green_terms(p: ProblemParams) -> tuple:
     a, b, xi = p.alpha, p.beta, p.xi
-    ga_b, gb = gamma(a - b), gamma(2.0 - b)
+    b1 = gamma(2.0 - b) / gamma(a - b)
     return (
-        ("left", a, 1.0),
-        ("right", a, xi / (gamma(a) * (1.0 - xi))),  # A
-        ("right", a - b, lambda t: -gb * (xi + (1.0 - xi) * t) / (ga_b * (1.0 - xi))),  # -B(t)
+        ("left", a, ((1.0, 0),)),
+        ("right", a, ((xi / (gamma(a) * (1.0 - xi)), 0),)),  # A
+        ("right", a - b, ((-b1 * xi / (1.0 - xi), 0), (-b1, 1))),  # -B(t)
     )
 
 
+def _dt(terms, order: float) -> tuple:
+    """The Caputo derivative in t of order ``order`` <= 1 of a term table,
+    taken term by term.
+
+    A left term's kernel is that of I^q, so its order q becomes q - order; a
+    monomial k t^e becomes k Gamma(e+1)/Gamma(e+1-order) t^(e-order), and a
+    constant vanishes, so a right term with no monomial left is dropped.
+    """
+    out = []
+    for kind, q, c in terms:
+        if kind == "left":
+            out.append((kind, q - order, c))
+            continue
+        c = tuple((k * gamma(e + 1.0) / gamma(e + 1.0 - order), e - order) for k, e in c if e)
+        if c:
+            out.append((kind, q, c))
+    return tuple(out)
+
+
 def _companion_terms(p: ProblemParams) -> tuple:
-    a, b = p.alpha, p.beta
-    c = gamma(2.0 - b) / (gamma(3.0 - a) * gamma(a - b))
-    # 0^0 = 1 here keeps the alpha = 2 case (t-independent coefficient) right.
-    return (("left", 1.0, 1.0), ("right", a - b, lambda t: -c * t ** (2.0 - a)))
+    return _dt(_green_terms(p), p.alpha - 1.0)
+
+
+def _at(c, t):
+    """The coefficient c at t, a float or an array; a constant (every e = 0)
+    stays a float whatever t is."""
+    return sum(k * t**e if e else k for k, e in c)
+
+
+def _triangle_mass(terms) -> float:
+    """An upper bound on sup_t integral_0^1 |kernel(t, s)| ds, term by term.
+
+    Each term adds the largest |coefficient| on [0, 1], the sum of |k| (its
+    |c(1)| when the monomials share a sign), times its kernel's mass at
+    t = 1: 1/Gamma(q+1) for a left term, 1/q for a right one.  Both factors
+    peak at t = 1 because every e >= 0, and a left term's mass t^q/Gamma(q+1)
+    grows with t.
+    """
+    total = 0.0
+    for kind, q, c in terms:
+        total += sum(abs(k) for k, _ in c) / (gamma(q + 1.0) if kind == "left" else q)
+    return total
 
 
 def _operator(tables, grid: Grid) -> KernelOperator:
@@ -143,9 +184,10 @@ def _operator(tables, grid: Grid) -> KernelOperator:
             if q not in built:
                 built[q] = left_kernel_toeplitz(q, grid)
             col, fst = built[q]
+            c = _at(c, grid.nodes)
             if kind == "right":
                 w = col[::-1].copy()  # a reversed view would dot in another order
-                rights.append((b, c(grid.nodes), w) if callable(c) else (b, 1.0, c * w))
+                rights.append((b, 1.0, c * w) if np.ndim(c) == 0 else (b, c, w))
             else:
                 column[b] += c * col / gamma(q)
                 first += c * fst / gamma(q)
@@ -157,7 +199,7 @@ def _value(terms, t: float, s):
     """Sum of the terms at (t, s); s may be a scalar or an array."""
     total = 0.0
     for kind, q, c in terms:
-        c = c(t) if callable(c) else c
+        c = _at(c, t)
         if kind == "left":  # (s < t) zeroes 0.0 ** 0.0 = 1 at q = 1
             total = total + c * np.maximum(t - s, 0.0) ** (q - 1.0) / gamma(q) * (s < t)
         else:
@@ -173,7 +215,7 @@ def _primitive(terms, t: np.ndarray, x):
     """
     total = 0.0
     for kind, q, c in terms:
-        c = c(t) if callable(c) else c
+        c = _at(c, t)
         if kind == "left":
             total = total + c * (t**q - np.maximum(t - x, 0.0) ** q) / (q * gamma(q))
         else:
@@ -224,15 +266,22 @@ def companion_weight_matrix(p: ProblemParams, grid: Grid) -> np.ndarray:
 
 
 def gstar_coarse_bound(p: ProblemParams) -> float:
-    """Analytic upper bound for gstar obtained by maximizing each term.
-
-    Bounds (t-s)^(alpha-1) by (1-s)^(alpha-1), takes the singular-term
-    coefficient at t = 1, and integrates both envelopes:
+    """Analytic upper bound for gstar: G's triangle mass, which bounds
+    (t-s)^(alpha-1) by (1-s)^(alpha-1) and takes each coefficient at t = 1,
 
         1/((1-xi) Gamma(alpha+1)) + Gamma(2-beta)/((1-xi) Gamma(alpha-beta+1)).
     """
-    a, b = p.alpha, p.beta
-    return (1.0 / gamma(a + 1.0) + gamma(2.0 - b) / gamma(a - b + 1.0)) / (1.0 - p.xi)
+    return _triangle_mass(_green_terms(p))
+
+
+def theta(p: ProblemParams) -> float:
+    """The certificate's companion-kernel envelope: H's triangle mass,
+
+        1 + Gamma(2-beta) / (Gamma(3-alpha) Gamma(alpha-beta+1)),
+
+    which always exceeds 1.
+    """
+    return _triangle_mass(_companion_terms(p))
 
 
 # Guard on the Newton passes of green_sign_change, which end when F is at most
@@ -271,7 +320,7 @@ def green_sign_change(p: ProblemParams, t) -> np.ndarray:
     _, (_, _, ratio), (_, _, minus_sing) = _green_terms(p)
     ga = gamma(a)
     t1 = np.atleast_1d(t)
-    sing = -minus_sing(t1)
+    ratio, sing = _at(ratio, t1), -_at(minus_sing, t1)
     at_one = t1 == 1.0
     # an overflowing closed form is never selected
     with np.errstate(over="ignore"):

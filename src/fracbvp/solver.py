@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -63,7 +63,9 @@ class IterationReport:
     ``diffs`` holds ||T x - x|| for each sweep's iterate x, and
     ``accelerated`` whether that x was an Anderson candidate.
     ``observed_ratio`` is the largest of the last three plain-step ratios,
-    the window the contraction witness judges.
+    the window the contraction witness judges.  ``restarted`` says that the
+    run restarted from the probe pair (see :func:`picard_solve`); the other
+    fields then describe the restarted run only.
     """
 
     iterations: int
@@ -71,6 +73,7 @@ class IterationReport:
     converged: bool
     observed_ratio: float
     accelerated: tuple[bool, ...]
+    restarted: bool = False
 
 
 @dataclass(frozen=True)
@@ -297,11 +300,12 @@ def picard_solve(
     plain steps after a rejected candidate; candidates never enter it.
 
     When the very first sweep already meets tol, the run restarts from a
-    constant probe pair and reports that run instead.  One small step from
-    the zero pair says only that f nearly vanishes there, not that the map
-    contracts; an unstable rest point looks the same.  For f = 100 u + 1e-12
-    the first step is about 1e-12, yet the map expands, and the restart
-    turns a false success into a divergence error.
+    constant probe pair and reports that run instead, flagged
+    ``report.restarted``.  One small step from the zero pair says only that
+    f nearly vanishes there, not that the map contracts; an unstable rest
+    point looks the same.  For f = 100 u + 1e-12 the first step is about
+    1e-12, yet the map expands, and the restart turns a false success into a
+    divergence error.
 
     Raises :class:`DivergenceError` when a plain iterate's norm is not below
     the norm cap (a nan iterate included) or max_iter sweeps pass without
@@ -319,6 +323,7 @@ def picard_solve(
     if report.iterations == 1:
         seed = np.full(2 * n, _PROBE_SEED)
         pair, report = _iterate(spec, grid, seed, weights, tol, max_iter)
+        report = replace(report, restarted=True)
     return pair, report
 
 

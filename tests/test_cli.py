@@ -138,6 +138,7 @@ def test_solve_writes_solution_and_report(tmp_path):
     report = json.loads((out / "report.json").read_text())
     assert report["converged"] is True
     assert report["iterations"] >= 1
+    assert report["probe_restart"] is False
     assert report["version"] == fracbvp.__version__
     for key in (
         "final_diff",
@@ -159,6 +160,14 @@ def test_package_version_matches_pyproject():
     path = Path(__file__).resolve().parents[1] / "pyproject.toml"
     with path.open("rb") as f:
         assert tomllib.load(f)["project"]["version"] == fracbvp.__version__
+
+
+def test_report_says_when_the_probe_restart_ran(tmp_path):
+    cfg = write_config(tmp_path, "alpha = 1.5\nbeta = 0.5\nxi = 0.5\nrhs = 1e-12\ntol = 1e-10\n")
+    out = tmp_path / "run"
+    assert main(["solve", "--config", cfg, "--out", str(out)]) == 0
+    report = json.loads((out / "report.json").read_text())
+    assert report["probe_restart"] is True and report["iterations"] == 2
 
 
 def test_solve_constant_forcing_spot_value(tmp_path):
@@ -470,6 +479,20 @@ def test_certify_refuses_a_claim_its_samples_contradict(tmp_path, capsys, claim,
     assert captured.out == ""
     assert re.fullmatch(f"config error: {message}\n", captured.err), captured.err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("claim", ["", "k = 1\n"], ids=("sampled-k", "k"))
+def test_certify_names_the_lattice_point_where_rhs_fails(tmp_path, capsys, claim):
+    # sqrt(u) fails at the first u < 0 of the sampled state lattice, which
+    # both the Lipschitz estimate and the check of a supplied k evaluate
+    cfg = write_config(tmp_path, "alpha = 1.5\nbeta = 0.5\nxi = 0.5\nrhs = sqrt(u)\n" + claim)
+    assert main(["certify", "--config", cfg]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: right-hand side failed on the sampled state lattice at "
+        "(t, u, v) = (0, -9.999989, -10): sqrt of a negative value\n"
+    )
 
 
 def test_green_table_values(tmp_path, capsys):

@@ -509,10 +509,16 @@ def test_lipschitz_estimate_reports_first_failure_in_loop_order():
     # t=1, later in the (t, u, v, probe) order although earlier in the tree
     with pytest.raises(EvaluationError) as info:
         lipschitz_estimate(parse("ln(1-t)+sqrt(5-u)"))
-    assert str(info.value) == "sqrt of a negative value"
+    assert str(info.value) == (
+        "right-hand side failed on the sampled state lattice at "
+        "(t, u, v) = (0, 5.000006, -10): sqrt of a negative value"
+    )
     with pytest.raises(EvaluationError) as info:
         lipschitz_estimate(parse("ln(t)+sqrt(5-u)"))
-    assert str(info.value) == "ln of a non-positive value"
+    assert str(info.value) == (
+        "right-hand side failed on the sampled state lattice at "
+        "(t, u, v) = (0, -9.999989, -10): ln of a non-positive value"
+    )
 
 
 def _oracle_lipschitz(tree, t_samples=65, bound=10.0):

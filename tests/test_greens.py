@@ -26,15 +26,20 @@ from fracbvp import (
 )
 from fracbvp.fracops import left_kernel_toeplitz
 from fracbvp.greens import (
+    _at,
     _companion_terms,
+    _dt,
     _green_terms,
     _primitive,
+    _triangle_mass,
+    _value,
     green_abs_mass,
     green_branch_value,
     green_sign_change,
+    theta,
 )
 
-from conftest import companion_eval, left_moments_row, oracle_gstar, oracle_sign_change
+from conftest import caputo_monomial, companion_eval, left_moments_row, oracle_gstar, oracle_sign_change
 
 # frozen from a sign-change-exact evaluation at n = 2049, m = 513, cross
 # checked against a 400000-point midpoint rule (agreement 5.4e-10)
@@ -194,7 +199,8 @@ def test_green_operator_reads_right_moments_off_its_toeplitz_data(monkeypatch):
             column, first = left_kernel_toeplitz(a, g)
             column_ab, first_ab = left_kernel_toeplitz(a - b, g)
             ratio = q.xi / (gamma(a) * (1.0 - q.xi))
-            sing = gamma(2.0 - b) * (q.xi + (1.0 - q.xi) * g.nodes) / (gamma(a - b) * (1.0 - q.xi))
+            b1 = gamma(2.0 - b) / gamma(a - b)
+            sing = b1 * q.xi / (1.0 - q.xi) + b1 * g.nodes  # B(t) as the table computes it
             parent = KernelOperator(
                 column / gamma(a),
                 (
@@ -406,7 +412,8 @@ def test_sign_change_at_t_one_is_closed_form(p):
     # At t = 1 the left branch is g = r^beta (1/Gamma(alpha) + A) - B(1).
     a, b, xi = p.alpha, p.beta, p.xi
     top = 1.0 / gamma(a) + xi / (gamma(a) * (1.0 - xi))
-    sing = gamma(2.0 - b) * (xi + (1.0 - xi)) / (gamma(a - b) * (1.0 - xi))
+    b1 = gamma(2.0 - b) / gamma(a - b)
+    sing = b1 * xi / (1.0 - xi) + b1  # B(1) as the table computes it
     want = 1.0 - (sing / top) ** (1.0 / b) if top > sing else 0.0
     # numpy's array power may round differently from libm's by an ulp
     assert abs(green_sign_change(p, np.array([1.0]))[0] - want) <= 1e-15
@@ -417,7 +424,8 @@ def _has_left_branch(p, ts):
     # g(0) > 0 > g(t) at some 0 < t < 1, where the Newton loop runs
     a, b, xi = p.alpha, p.beta, p.xi
     ratio = xi / (gamma(a) * (1.0 - xi))
-    sing = gamma(2.0 - b) * (xi + (1.0 - xi) * ts) / (gamma(a - b) * (1.0 - xi))
+    b1 = gamma(2.0 - b) / gamma(a - b)
+    sing = b1 * xi / (1.0 - xi) + b1 * ts  # B(t) as the table computes it
     g0 = ts ** (a - 1.0) / gamma(a) + ratio - sing
     gt = (1.0 - ts) ** b * ratio - sing
     return bool(np.any((g0 > 0.0) & (gt < 0.0) & (ts < 1.0)))
@@ -464,8 +472,8 @@ def test_newton_loop_pass_count(monkeypatch, example_params):
         assert abs(value - want) <= 1e-15 * gstar_coarse_bound(p)
     assert _has_left_branch(example_params, ts)
     assert with_loop >= 100
-    # the roundoff stop saves about one pass per scan: 837 passes here, 987
-    # when the loop ran until no iterate grew
+    # the roundoff stop saves about one pass per scan: 810 passes here, 897
+    # when the loop runs until no iterate grows
     assert total <= 850
 
 
@@ -488,3 +496,112 @@ def test_coarse_bound_dominates_computed_value(example_params):
     for _ in range(5):
         p = _random_params(rng)
         assert gstar_coarse_bound(p) >= gstar(p, m=33) - 1e-9
+
+
+# The paper's hand-written forms of what greens derives from G's term table.
+
+
+def _paper_companion(p, t, s):
+    """H(t, s) of the greens module docstring and its two terms' magnitudes."""
+    a, b = p.alpha, p.beta
+    c = gamma(2.0 - b) / (gamma(3.0 - a) * gamma(a - b))
+    sing = c * t ** (2.0 - a) * (1.0 - s) ** (a - b - 1.0)
+    step = 1.0 * (s < t)
+    return step - sing, step + sing
+
+
+def _paper_theta(p):
+    a, b = p.alpha, p.beta
+    return 1.0 + gamma(2.0 - b) / (gamma(3.0 - a) * gamma(a - b + 1.0))
+
+
+def _paper_coarse_bound(p):
+    a, b = p.alpha, p.beta
+    return (1.0 / gamma(a + 1.0) + gamma(2.0 - b) / gamma(a - b + 1.0)) / (1.0 - p.xi)
+
+
+def _paper_lipschitz(p):
+    """L = 1/Gamma(alpha) + Gamma(2-beta)/Gamma(alpha-beta+1), the mass bound
+    of d/dt G: (t-s)_+^(alpha-2)/Gamma(alpha-1) and B'(t) (1-s)^(alpha-beta-1)."""
+    a, b = p.alpha, p.beta
+    return 1.0 / gamma(a) + gamma(2.0 - b) / gamma(a - b + 1.0)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    p=_box_params(),
+    t=st.floats(0.0, 1.0),
+    s=st.floats(0.0, 1.0, exclude_max=True),
+)
+@example(p=ProblemParams(2.0, 0.5, 0.5), t=0.3, s=0.6)
+@example(p=ProblemParams(1.0 + 1e-9, 1.0 - 1e-9, 1.0 - 1e-9), t=1.0, s=1.0 - 2.0**-53)
+@example(p=ProblemParams(1.5, 0.5, 0.5), t=0.0, s=0.0)
+def test_companion_table_is_the_paper_kernel(p, t, s):
+    # H's table is D_t^(alpha-1) of G's, with no formula of its own
+    want, magnitude = _paper_companion(p, t, s)
+    assert abs(_value(_companion_terms(p), t, s) - want) <= 1e-15 * magnitude
+
+
+def _constant_corpus():
+    """The certify_sweep edge classes (corners, midpoints and uniform draws),
+    uniform draws from the whole box, and the box edges alpha -> 1,
+    alpha = 2, beta -> 0, beta -> 1, xi -> 0 and xi -> 1."""
+    rng = np.random.default_rng(97)
+    triples = []
+    for box in _CERTIFY_EDGE_CLASSES.values():
+        triples += itertools.product(*[(lo, 0.5 * (lo + hi), hi) for lo, hi in box])
+        triples += zip(*[rng.uniform(lo, hi, 200) for lo, hi in box])
+    triples += zip(rng.uniform(1.0, 2.0, 1000), rng.uniform(0.0, 1.0, 1000), rng.uniform(0.0, 1.0, 1000))
+    near = (1e-12, 1e-9, 1e-6)
+    alphas = [1.0 + g for g in near] + [1.5, 2.0]
+    units = list(near) + [0.5] + [1.0 - g for g in near]
+    triples += itertools.product(alphas, units, units)
+    return [ProblemParams(float(a), float(b), float(xi)) for a, b, xi in triples if a > 1.0]
+
+
+def test_theta_and_coarse_bound_are_the_paper_closed_forms():
+    # each is the triangle mass of a term table, with no formula of its own
+    for p in _constant_corpus():
+        assert abs(theta(p) - _paper_theta(p)) <= 1e-15 * _paper_theta(p)
+        assert abs(gstar_coarse_bound(p) - _paper_coarse_bound(p)) <= 1e-15 * _paper_coarse_bound(p)
+
+
+@pytest.mark.parametrize("e", [0, 1, 2])
+def test_dt_is_the_caputo_derivative_of_a_monomial(e):
+    # conftest's closed form rejects 0 < e < 1; no table holds such a term
+    t = np.linspace(0.0, 1.0, 33)
+    rng = np.random.default_rng(5)
+    for a in (1.0 + 1e-9, 1.3, 1.5, 2.0, *rng.uniform(1.0, 2.0, 8)):
+        for order in (a - 1.0, 1.0):
+            table = (("left", a, ((1.0, 0),)), ("right", 0.7, ((-0.6, e),)))
+            left, *right = _dt(table, order)
+            assert left == ("left", a - order, ((1.0, 0),))
+            want = -0.6 * caputo_monomial(order, e, t)
+            if e == 0:
+                assert right == [] and want == 0.0  # the constant vanishes, its term drops
+                continue
+            ((kind, q, c),) = right
+            assert kind == "right" and q == 0.7 and all(x >= 0.0 for _, x in c)
+            np.testing.assert_allclose(_at(c, t), want, rtol=1e-15, atol=0.0)
+
+
+# M(t_i) at the worst of the box's corners, where M is about 1e9 and its
+# roundoff exceeds L dt
+_LIPSCHITZ_CORNER = ProblemParams(1.0 + 1e-9, 1.0 - 1e-9, 1.0 - 1e-9)
+
+
+@settings(max_examples=60, deadline=None)
+@given(p=_box_params(), m=st.sampled_from((257, 4097)))
+@example(p=_LIPSCHITZ_CORNER, m=257)
+@example(p=_LIPSCHITZ_CORNER, m=4097)
+@example(p=ProblemParams(1.5, 0.5, 0.5), m=257)
+def test_mass_is_lipschitz_with_the_derived_constant(p, m):
+    # The premise of a rigorous G* from the scan: |M(t) - M(t')| <= L |t - t'|,
+    # with L the triangle mass of d/dt G's table.  The pad is M's roundoff,
+    # eps times the terms' mass (the coarse bound).
+    lip = _triangle_mass(_dt(_green_terms(p), 1.0))
+    assert abs(lip - _paper_lipschitz(p)) <= 1e-15 * _paper_lipschitz(p)
+    ts = np.linspace(0.0, 1.0, m)
+    steps = np.abs(np.diff(green_abs_mass(p, ts)))
+    pad = 4.0 * np.finfo(float).eps * gstar_coarse_bound(p)
+    assert np.all(steps <= lip * np.diff(ts) + pad)

@@ -383,6 +383,16 @@ def test_expanding_maps_still_diverge(example_params, rhs):
         picard_solve(spec, 513, tol=1e-10)
 
 
+def test_report_flags_the_probe_restart(example_params, example_solution):
+    # f = 1e-12 meets tol on the first sweep from the zero pair, so the run
+    # restarts from the probe pair; iterations counts the restarted run only
+    spec = ProblemSpec(example_params, parse("1e-12"))
+    _, report = picard_solve(spec, 513, tol=1e-10)
+    assert report.restarted and report.converged
+    assert report.iterations == 2
+    assert not example_solution[1].restarted
+
+
 def test_slow_contraction_is_accelerated(example_params):
     spec = ProblemSpec(example_params, parse(GUARD_RHS.format(c=2.5)))
     pair, report = picard_solve(spec, 513, tol=1e-10)
