@@ -9,6 +9,7 @@ from .certify import (
     certify,
     contraction_constant,
     existence_radius,
+    lipschitz_estimate,
     theta,
 )
 from .errors import (
@@ -20,7 +21,7 @@ from .errors import (
     ParseError,
     UnknownIdentifierError,
 )
-from .expr import evaluate, lipschitz_estimate, parse, to_source
+from .expr import evaluate, parse, to_source
 from .fracops import (
     Grid,
     GridFunction,

@@ -26,7 +26,7 @@ import numpy as np
 
 from . import __version__
 from ._csvtext import csv_rows
-from .certify import AffinePsi, Certificate, GrowthSpec, certify, contradiction, theta
+from .certify import AffinePsi, Certificate, GrowthSpec, certify, contradiction
 from .errors import (
     ConfigError,
     DivergenceError,
@@ -200,7 +200,11 @@ def _fmt(x: float) -> str:
 def _trunc6(x: float) -> str:
     """Truncate toward zero at 6 decimals; reproduces reported constants
     that were printed truncated rather than rounded."""
-    return f"{math.floor(x * 1e6) / 1e6:.6f}"
+    scaled = x * 1e6
+    if not math.isfinite(scaled):
+        # so large a number has no fraction to cut; inf prints as inf
+        return f"{x:.6f}"
+    return f"{math.floor(scaled) / 1e6:.6f}"
 
 
 def _write_atomic(out_dir: str, name: str, text: str) -> None:
@@ -328,8 +332,8 @@ def cmd_example() -> int:
     rhs = parse(EXAMPLE_RHS)
     spec = ProblemSpec(params, rhs)
     k = EXAMPLE_K
-    th = theta(params)
     cert = certify(spec, k=k, m=513)
+    th = cert.theta
 
     out = [
         f"alpha={_fmt(EXAMPLE_ALPHA)}",

@@ -324,59 +324,3 @@ def to_source(e: Expr) -> str:
     if isinstance(e, Op):
         return _OPS[e.op].fmt.format(*map(to_source, e.args))
     raise TypeError(f"not an expression node: {e!r}")
-
-
-# The state lattice of the sampled checks: 5 nodes per axis on [-10, 10]^2,
-# each with four central-difference probes, steps 1e-6 * (1 + |coordinate|).
-_AXIS = 10.0 * np.array([-1.0, -0.5, 0.0, 0.5, 1.0])
-NODE_U, NODE_V = np.meshgrid(_AXIS, _AXIS, indexing="ij")
-_DU, _DV = 1e-6 * (1.0 + np.abs(NODE_U)), 1e-6 * (1.0 + np.abs(NODE_V))
-
-
-def state_lattice(ts: np.ndarray) -> tuple[np.ndarray, ...]:
-    """The points (t, u, v) of the sampled checks: each t of ``ts`` crossed
-    with the state lattice and its probes (u+du, u-du, v+dv, v-dv), as
-    contiguous arrays of shape (len(ts), 5, 5, 4).
-
-    C order is the order of the nested scalar loop t -> u -> v -> probe, so
-    the first failing point reported is the one that loop would hit first.
-    Built once per t column: evaluate then needs no broadcast.
-    """
-    probe_u = np.stack([NODE_U + _DU, NODE_U - _DU, NODE_U, NODE_U], axis=-1)
-    probe_v = np.stack([NODE_V, NODE_V, NODE_V + _DV, NODE_V - _DV], axis=-1)
-    points = np.broadcast_arrays(ts[:, None, None, None], probe_u, probe_v)
-    return tuple(np.ascontiguousarray(x) for x in points)
-
-
-def lattice_samples(e: Expr, points: tuple[np.ndarray, ...]) -> tuple[np.ndarray, ...]:
-    """f at the points of :func:`state_lattice`, and its central-difference
-    quotients in u and v at each (t, node): (f, fu, fv).
-
-    A failing evaluation raises :class:`EvaluationError` naming the first
-    failing point (t, u, v) of the lattice.
-    """
-    try:
-        f = evaluate(e, *points)
-    except EvaluationError as exc:
-        t, u, v = (x.flat[exc.index] for x in points)
-        raise EvaluationError(
-            f"right-hand side failed on the sampled state lattice at (t, u, v) = "
-            f"({t:.12g}, {u:.12g}, {v:.12g}): {exc}",
-            exc.index,
-        ) from exc
-    return f, (f[..., 0] - f[..., 1]) / (2 * _DU), (f[..., 2] - f[..., 3]) / (2 * _DV)
-
-
-_LIPSCHITZ_POINTS = state_lattice(np.arange(65) / 64)
-
-
-def lipschitz_estimate(e: Expr) -> float:
-    """Sampled bound on max(|df/du|, |df/dv|) over [0,1] x [-10, 10]^2.
-
-    Central differences with step 1e-6 * (1 + |coordinate|) at every point of
-    a 65-point t grid crossed with a 5-point lattice per state axis.  This is
-    an estimate, not a certified constant: it can undershoot the true
-    Lipschitz constant between samples.
-    """
-    _, fu, fv = lattice_samples(e, _LIPSCHITZ_POINTS)
-    return float(max(np.max(np.abs(fu)), np.max(np.abs(fv))))

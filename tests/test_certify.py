@@ -1,5 +1,6 @@
 """Contraction constants, existence radii, certificate assembly."""
 
+import importlib
 import json
 
 import numpy as np
@@ -17,8 +18,12 @@ from fracbvp import (
     parse,
     theta,
 )
+from fracbvp import cli, greens
 from fracbvp.certify import contradiction
 from fracbvp.cli import _certificate_lines
+
+# the module, not the function that ``fracbvp.certify`` names
+certify_module = importlib.import_module("fracbvp.certify")
 
 EXAMPLE_K = 1.0 / 11.0
 
@@ -35,28 +40,25 @@ def test_theta_exceeds_one_everywhere():
 
 
 def test_contraction_constant_example(example_params):
-    d = contraction_constant(example_params, EXAMPLE_K, 0.5527021926126314)
+    d = contraction_constant(EXAMPLE_K, max(0.5527021926126314, theta(example_params)))
     assert abs(d - 4.0 / 11.0) <= 1e-12  # theta term dominates
 
 
 def test_contraction_constant_monotone(example_params):
     rng = np.random.default_rng(307)
+    th = theta(example_params)
     for _ in range(50):
         k1, k2 = sorted(rng.uniform(0.0, 5.0, size=2))
         g1, g2 = sorted(rng.uniform(0.0, 5.0, size=2))
-        assert contraction_constant(example_params, k1, g1) <= contraction_constant(
-            example_params, k2, g1
-        )
-        assert contraction_constant(example_params, k1, g1) <= contraction_constant(
-            example_params, k1, g2
-        )
+        assert contraction_constant(k1, max(g1, th)) <= contraction_constant(k2, max(g1, th))
+        assert contraction_constant(k1, max(g1, th)) <= contraction_constant(k1, max(g2, th))
 
 
 def test_contraction_constant_domain(example_params):
     with pytest.raises(DomainError):
-        contraction_constant(example_params, -0.1, 1.0)
+        contraction_constant(-0.1, 1.0)
     with pytest.raises(DomainError):
-        contraction_constant(example_params, 0.1, -1.0)
+        contraction_constant(0.1, -1.0)
 
 
 def test_growth_spec_validation():
@@ -72,13 +74,14 @@ def test_growth_spec_validation():
 
 def test_existence_radius_closed_forms(example_params):
     # constant growth (b = 0): r = p* a max(G*, theta)
-    r = existence_radius(example_params, GrowthSpec(1.0, AffinePsi(1.0)), 3.1601)
+    th = theta(example_params)
+    r = existence_radius(GrowthSpec(1.0, AffinePsi(1.0)), max(3.1601, th))
     assert r == pytest.approx(3.1601, abs=1e-12)
     # no finite radius once p* b max(G*, theta) reaches 1
-    r = existence_radius(example_params, GrowthSpec(1.0, AffinePsi(1.0, 1.0)), 3.1601)
+    r = existence_radius(GrowthSpec(1.0, AffinePsi(1.0, 1.0)), max(3.1601, th))
     assert r is None
     # with the computed bound the theta term dominates the max
-    r = existence_radius(example_params, GrowthSpec(1.0, AffinePsi(1.0)), 0.5527021926126314)
+    r = existence_radius(GrowthSpec(1.0, AffinePsi(1.0)), max(0.5527021926126314, th))
     assert r == pytest.approx(2.0, abs=1e-12)
 
 
@@ -168,3 +171,57 @@ def test_contradiction_refutes_only_what_the_samples_disprove(example_spec):
     assert contradiction(example_spec.rhs, 0.019, None) is not None
     # certify itself takes what it is given
     assert certify(ProblemSpec(example_spec.params, linear), k=0.1, m=33).k == 0.1
+
+
+def test_every_sampled_check_reads_one_state_lattice():
+    # the nested loop t -> u -> v -> probe, written out: 65 t values, 5 nodes
+    # per state axis on [-10, 10], probes (u+du, u-du, v+dv, v-dv) with steps
+    # 1e-6 (1 + |coordinate|)
+    axis = [-10.0, -5.0, 0.0, 5.0, 10.0]
+    points = []
+    for i in range(65):
+        t = i / 64
+        for u in axis:
+            du = 1e-6 * (1.0 + abs(u))
+            for v in axis:
+                dv = 1e-6 * (1.0 + abs(v))
+                points += [(t, u + du, v), (t, u - du, v), (t, u, v + dv), (t, u, v - dv)]
+    want = np.array(points).T.reshape(3, 65, 5, 5, 4)
+    lattice = certify_module._LATTICE
+    assert len(lattice) == 3
+    for got, expected in zip(lattice, want):
+        assert got.shape == (65, 5, 5, 4) and got.flags.c_contiguous
+        assert got.tobytes() == np.ascontiguousarray(expected).tobytes()
+    # contradiction's 300 points are the rows t = 0, 1/2 and 1
+    for got, full in zip(certify_module._CHECK_POINTS, lattice):
+        assert got.shape == (3, 5, 5, 4) and got.flags.c_contiguous
+        assert got.tobytes() == np.ascontiguousarray(full[[0, 32, 64]]).tobytes()
+    assert certify_module._CHECK_POINTS[0][:, 0, 0, 0].tolist() == [0.0, 0.5, 1.0]
+
+
+def test_theta_is_computed_once_per_certificate(example_spec, monkeypatch, capsys):
+    calls = []
+    for module in (certify_module, greens):
+        real = module.theta
+        monkeypatch.setattr(module, "theta", lambda p, real=real: calls.append(p) or real(p))
+    growth = GrowthSpec(1.0, AffinePsi(1.0))
+    assert certify(example_spec, k=EXAMPLE_K, growth=growth, m=33).theta == 2.0
+    assert len(calls) == 1
+    calls.clear()
+    # the example prints its certificate's theta
+    assert not hasattr(cli, "theta")
+    assert cli.main(["example"]) == 0
+    assert "theta=2.000000000000\n" in capsys.readouterr().out
+    assert len(calls) == 1
+
+
+def test_contraction_constant_of_the_kernel_bound_is_the_papers_d():
+    # for k >= 0, 2k max(g, theta) == max(2k g, 2k theta) bit for bit, as
+    # rounding is monotone
+    rng = np.random.default_rng(41)
+    ks, gs, ths = 10.0 ** rng.uniform(-12.0, 12.0, 500), rng.uniform(0.0, 5.0, 500), rng.uniform(1.0, 5.0, 500)
+    edges = [(0.0, 0.5, 2.0), (0.0, 3.0, 2.0), (0.3, 2.0, 2.0), (1e308, 0.5, 2.0), (1e308, 3.0, 2.0)]
+    for k, g, th in list(zip(ks.tolist(), gs.tolist(), ths.tolist())) + edges:
+        d = contraction_constant(k, max(g, th))
+        assert d.hex() == max(2.0 * k * g, 2.0 * k * th).hex(), (k, g, th)
+    assert contraction_constant(1e308, 2.0) == float("inf")

@@ -5,6 +5,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -494,6 +495,36 @@ def test_certify_names_the_lattice_point_where_rhs_fails(tmp_path, capsys, claim
         "(t, u, v) = (0, -9.999989, -10): sqrt of a negative value\n"
     )
 
+
+@pytest.mark.parametrize(
+    "k, d, d_paper",
+    [
+        (1e302, f"{4.0 * 1e302:.12f}", f"{2.0 * 1e302 * 3.1601:.6f}"),
+        (1e308, "inf", "inf"),
+    ],
+    ids=("product-overflows", "d-overflows"),
+)
+def test_certify_prints_a_huge_k_without_crashing(tmp_path, capsys, k, d, d_paper):
+    # 2k * 3.1601 * 1e6 overflows on the reproduction line; a number that
+    # large has no fraction to cut, and inf prints as inf
+    cfg = write_config(tmp_path, f"alpha = 1.5\nbeta = 0.5\nxi = 0.5\nrhs = u\nk = {k!r}\n")
+    assert main(["certify", "--config", cfg]) == 0
+    printed = read_kv(capsys.readouterr().out)
+    assert printed["unique"] == "false"
+    assert (printed["d"], printed["d_paper"]) == (d, d_paper)
+
+
+def test_certify_growth_check_with_an_overflowing_bound_warns_nothing(tmp_path, capsys):
+    # p_star * psi_a overflows to inf, which no sample can exceed
+    cfg = write_config(
+        tmp_path,
+        "alpha = 1.5\nbeta = 0.5\nxi = 0.5\nrhs = cos(t)\nk = 0\n"
+        "psi_kind = constant\npsi_a = 1e300\np_star = 1e100\n",
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["certify", "--config", cfg]) == 0
+    assert read_kv(capsys.readouterr().out)["unique"] == "true"
 
 def test_green_table_values(tmp_path, capsys):
     cfg = write_config(tmp_path)

@@ -1,13 +1,17 @@
-"""The work ledger script counts the same work on every run, quickly."""
+"""The work ledger script counts the same work on every run, quickly, and
+the work it counts is the committed BENCH_work.json."""
 
 import json
 import time
+from pathlib import Path
 
 import numpy as np
 
 from fracbvp import cli, greens, solver
 
 import work_ledger
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def test_ledger_is_deterministic_and_cheap():
@@ -31,6 +35,16 @@ def test_ledger_is_deterministic_and_cheap():
     assert total["exit_code[0]"] == 25 and total["solves"] == 17
     assert total["sweeps"] > 0 and total["newton_passes"] > 0 and total["evaluate_calls"] > 0
     assert total["accepted_candidates"] + total["rejected_candidates"] == total["candidates"]
+    # the same work as the committed baseline; the CSV bytes move with
+    # numpy's SIMD dispatch and have tests of their own
+    committed = json.loads((ROOT / "BENCH_work.json").read_text(encoding="utf-8"))
+    fresh = json.loads(texts[0])
+    assert fresh["corpus"] == committed["corpus"]
+    groups = [key for key, value in committed.items() if isinstance(value, dict)]
+    assert groups == [key for key, value in fresh.items() if isinstance(value, dict)]
+    for group in groups:
+        counts = {key: n for key, n in fresh[group].items() if key != "bytes_written"}
+        assert counts == {key: n for key, n in committed[group].items() if key != "bytes_written"}, group
 
 
 def test_ledger_tells_rejected_candidates_from_kept_ones(tmp_path, monkeypatch):

@@ -10,14 +10,19 @@ and in total, it counts:
 - sweeps (``solver._step`` calls), Anderson candidates, the accepted and
   rejected ones, solves and probe restarts;
 - ``rfft``/``irfft`` calls by transform length;
-- ``evaluate`` calls, from the solver and from the sampled lattice checks;
+- ``evaluate`` calls, from the solver and from the sampled lattice checks,
+  and the expression nodes they walk (``expr._walk`` calls: ``_walk``
+  recurses through its module attribute, so every node is counted);
 - Newton passes of the G* scan (``greens._convex_residual`` calls);
 - atomic writes, the bytes they write, and the bytes of each operator that
   ``solver.kernel_operators`` builds;
 - the ops' exit codes.
 
 Run from the repository root as ``PYTHONPATH=src python tests/work_ledger.py``;
-it prints the counts as JSON.  Two runs print the same text.
+it prints the counts as JSON, with numpy's version and a line naming the
+corpus.  Two runs print the same text.  ``BENCH_work.json`` at the
+repository root is this output, committed; regenerate it with
+``PYTHONPATH=src python tests/work_ledger.py > BENCH_work.json``.
 """
 
 from __future__ import annotations
@@ -35,8 +40,12 @@ import numpy as np
 
 from fracbvp import cli, expr, greens, solver
 
+# the module, not the function that ``fracbvp.certify`` names
+certify = importlib.import_module("fracbvp.certify")
+
 ROOT = Path(__file__).resolve().parents[1]
 SEED, OPS = 1, 8
+CORPUS = f"the built-in example and ops 0-{OPS - 1} of each perfbench/gen.py workload at seed {SEED}"
 
 
 def _load_gen():
@@ -118,7 +127,8 @@ class _Ledger:
             (np.fft, "rfft", self._transform("rfft"), False),
             (np.fft, "irfft", self._transform("irfft"), False),
             (solver, "evaluate", lambda *a: self.add("evaluate_calls"), False),
-            (expr, "evaluate", lambda *a: self.add("evaluate_calls"), False),
+            (certify, "evaluate", lambda *a: self.add("evaluate_calls"), False),
+            (expr, "_walk", lambda *a: self.add("walk_nodes"), False),
             (greens, "_convex_residual", lambda *a: self.add("newton_passes"), False),
             (cli, "_write_atomic", self._write, False),
             (solver, "kernel_operators", lambda op: self.add("operator_bytes", _operator_bytes(op)), True),
@@ -154,8 +164,8 @@ def _wrap(real, note, after: bool):
 
 
 # counts every group reports, zero or not
-_KEYS = ("sweeps", "candidates", "rejected_candidates", "solves", "evaluate_calls", "newton_passes",
-         "atomic_writes", "bytes_written", "operator_bytes")
+_KEYS = ("sweeps", "candidates", "rejected_candidates", "solves", "evaluate_calls", "walk_nodes",
+         "newton_passes", "atomic_writes", "bytes_written", "operator_bytes")
 
 
 def _summary(counts: Counter) -> dict:
@@ -166,14 +176,15 @@ def _summary(counts: Counter) -> dict:
 
 
 def ledger() -> dict:
-    """The counts of each corpus group and their total."""
+    """The counts of each corpus group and their total, with numpy's version
+    and the corpus they count."""
     book = _Ledger()
     with tempfile.TemporaryDirectory() as tmp, book.wrapped():
         for group, argv in _corpus(Path(tmp)):
             book.run(group, argv)
     out = {group: _summary(counts) for group, counts in book.counts.items()}
     out["total"] = _summary(sum(book.counts.values(), Counter()))
-    return out
+    return {"corpus": CORPUS, "numpy": np.__version__} | out
 
 
 if __name__ == "__main__":
