@@ -110,7 +110,7 @@ def existence_radius(growth: GrowthSpec, kernel_bound: float) -> Optional[float]
     kernel bound max(gstar, theta).
 
     Returns None when no finite radius satisfies the inequality (affine
-    envelope with slope too large).
+    envelope with slope too large), or when the radius overflows to inf.
     """
     if not (math.isfinite(kernel_bound) and kernel_bound >= 0.0):
         raise DomainError(f"kernel bound must be >= 0, got {kernel_bound!r}")
@@ -118,7 +118,8 @@ def existence_radius(growth: GrowthSpec, kernel_bound: float) -> Optional[float]
     slope = p * growth.psi.b * kernel_bound
     if slope >= 1.0:
         return None
-    return p * growth.psi.a * kernel_bound / (1.0 - slope)
+    r = p * growth.psi.a * kernel_bound / (1.0 - slope)
+    return r if math.isfinite(r) else None
 
 
 def certify(

@@ -20,6 +20,7 @@ import math
 import re
 from contextlib import suppress
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Callable, NamedTuple, Union
 
 import numpy as np
@@ -99,6 +100,8 @@ _NUMBER = re.compile(r"(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][+-]?[0-9]+)?")
 _WORD_TAIL = re.compile(r"\w*")
 # binary operators from loosest to tightest; each level associates left
 _LEVELS = (("+", "-"), ("*", "/"))
+# nesting levels the parser accepts; each costs it at most 7 Python frames
+MAX_DEPTH = 100
 
 
 @dataclass(frozen=True)
@@ -136,6 +139,7 @@ class _Parser:
     def __init__(self, source: str):
         self.tokens = _tokenize(source)
         self.pos = 0
+        self.depth = 0  # the levels of nesting now open
 
     def peek(self) -> _Token:
         return self.tokens[self.pos]
@@ -176,9 +180,14 @@ class _Parser:
         return node
 
     def unary(self) -> Expr:
-        if self.match_op("-") is not None:
-            return Op("neg", (self.unary(),))
-        return self.power()
+        # every level of nesting passes here: "(", a function's argument, "-", "^"
+        if self.depth > MAX_DEPTH:
+            offset = self.peek().offset
+            raise ParseError(f"expression nests too deeply at offset {offset}", offset, ())
+        self.depth += 1
+        node = Op("neg", (self.unary(),)) if self.match_op("-") is not None else self.power()
+        self.depth -= 1
+        return node
 
     def power(self) -> Expr:
         node = self.atom()
@@ -223,41 +232,73 @@ def parse(source: str) -> Expr:
 
     Raises :class:`ParseError` with a 1-based character offset and the set of
     acceptable tokens; unknown names raise :class:`UnknownIdentifierError`.
+    Nesting deeper than MAX_DEPTH levels raises :class:`ParseError`.
     """
     if not isinstance(source, str):
         raise ParseError("expression source must be a string", 1, ())
     return _Parser(source).parse()
 
 
-# For finite inputs and literals, every check of the masked walk implies one
-# of these IEEE 754 exception flags; underflow alone is never a failure.
+# For finite inputs and literals, every check of a masked run implies one of
+# these IEEE 754 exception flags; underflow alone is never a failure.
 _FLAGS = {"divide": "raise", "over": "raise", "invalid": "raise", "under": "ignore"}
 
+# the last tree compiled, its tape and its leftmost non-finite literal
+_memo: tuple = (None, [], None)
 
-def _walk(e: Expr, env: dict[str, np.ndarray], fails: list | None) -> np.ndarray:
-    # Post-order walk, one _OPS function per operation node.  Every check that
-    # flags some point is appended to ``fails`` in the order the checks run;
-    # ``fails=None`` skips the checks, for a walk under _FLAGS.  A Var's
-    # result is the array of ``env`` itself.
-    if isinstance(e, Op):
-        args = []  # a loop: before Python 3.12 a comprehension adds a frame per node
-        for a in e.args:
-            args.append(_walk(a, env, fails))
-        row = _OPS[e.op]
-        out = row.fn(*args)
+
+def _compile(e: Expr) -> tuple[list[tuple], float | None]:
+    """The tree's tape and its leftmost non-finite literal, or None.
+
+    The tape lists the nodes in post-order as (fn, fmt, checks, arity)
+    steps: an operation's _OPS row and operand count, or a leaf of arity 0
+    that reads its variable from ``env`` or fills an array with its literal.
+    An explicit stack builds it, so any depth compiles.  The last tree's
+    tape is found again by identity, as hashing a tree costs a pass over it.
+    """
+    global _memo
+    tree, tape, bad = _memo
+    if tree is e:
+        return tape, bad
+    tape, bad, todo = [], None, [e]
+    while todo:  # the root, then right before left: post-order reversed
+        node = todo.pop()
+        if isinstance(node, Op) and len(node.args) == _OPS[node.op].fmt.count("{}"):
+            tape.append((*_OPS[node.op], len(node.args)))
+            todo += node.args
+        elif isinstance(node, Var):
+            tape.append((itemgetter(node.name), node.name, (), 0))
+        elif isinstance(node, Num):
+            x, text = node.value, repr(node.value)
+            fill = lambda env, x=x: np.full(env["t"].shape, x)  # noqa: E731
+            tape.append((fill, f"({text})" if text[0] == "-" else text, (), 0))
+            bad = bad if math.isfinite(x) else x  # the last one met is the leftmost
+        else:
+            raise TypeError(f"not an expression node: {node!r}")
+    tape.reverse()
+    _memo = (e, tape, bad)
+    return tape, bad
+
+
+def _run(tape: list[tuple], env: dict[str, np.ndarray] | None, fails: list | None):
+    """Run a tape on a stack: each step pops its operands (a leaf's one
+    operand is ``env``) and pushes its ``fn`` of them, or with ``env=None``
+    its ``fmt`` filled with them.  Every check that flags a point is
+    appended to ``fails`` in the order the checks run; ``fails=None`` skips
+    the checks, for a run under _FLAGS."""
+    stack: list = []
+    for fn, fmt, checks, arity in tape:
+        cut = len(stack) - arity
+        args = stack[cut:] if arity else [env]
+        del stack[cut:]
+        out = fmt.format(*args) if env is None else fn(*args)
         if fails is not None:
-            for check, message in row.checks:
+            for check, message in checks:
                 mask = check(*args, out)
                 if mask.any():
                     fails.append((message, mask))
-        return out
-    if isinstance(e, Var):
-        return env[e.name]
-    if isinstance(e, Num):
-        if fails is None and not math.isfinite(e.value):
-            raise FloatingPointError("non-finite literal")
-        return np.full(env["t"].shape, e.value)
-    raise TypeError(f"not an expression node: {e!r}")
+        stack.append(out)
+    return stack.pop()
 
 
 def evaluate(
@@ -266,19 +307,20 @@ def evaluate(
     """Evaluate the tree at the point (t, u, v), or at every point of arrays.
 
     Floats give a float; equal-shape arrays give an array of that shape, one
-    numpy operation per tree node.  Raises :class:`EvaluationError` when a
-    domain check of an operation fails (docs/expression-grammar.md lists
-    them).  For arrays the error names the lowest failing
-    flat index (``.index``) and carries the message of that point's first
-    failing operation in evaluation order, as a scalar call there would.
+    numpy operation per tape step, for a tree of any depth.  Raises
+    :class:`EvaluationError` when a domain check of an operation fails
+    (docs/expression-grammar.md lists them).  For arrays the error names the
+    lowest failing flat index (``.index``) and carries the message of that
+    point's first failing operation in evaluation order, as a scalar call
+    there would.
 
-    Floating-point flags detect a failure; masks explain it.  When t, u and
-    v are all finite the tree is walked once with no checks, under numpy's
-    IEEE divide, overflow and invalid flags set to raise: for finite inputs
-    every failing check raises one of them.  Only a raised flag, a
-    non-finite input or a non-finite literal runs the walk again with every
-    check as a mask, which then raises the error above or returns its value.
+    Floating-point flags detect a failure; masks explain it.  With finite
+    inputs and literals the tape runs once with no checks, under numpy's
+    IEEE divide, overflow and invalid flags set to raise, which every
+    failing check then raises.  Only a raised flag or a non-finite input or
+    literal runs it again with every check as a mask.
     """
+    tape, bad = _compile(e)
     t, u, v = (np.asarray(x, dtype=float) for x in (t, u, v))
     if not t.shape == u.shape == v.shape:
         t, u, v = np.broadcast_arrays(t, u, v)
@@ -287,13 +329,13 @@ def evaluate(
     env = {"t": t.reshape(-1), "u": u.reshape(-1), "v": v.reshape(-1)}
     out = None
     # with an infinite input a node can fail with no flag: 1/(t+1) is 0
-    if all(np.isfinite(x).all() for x in env.values()):
+    if bad is None and all(np.isfinite(x).all() for x in env.values()):
         with suppress(FloatingPointError), np.errstate(**_FLAGS):
-            out = _walk(e, env, None)
+            out = _run(tape, env, None)
     if out is None:
         fails: list[tuple[str, np.ndarray]] = []
         with np.errstate(all="ignore"):
-            out = _walk(e, env, fails)
+            out = _run(tape, env, fails)
         if fails:
             index = min(int(np.flatnonzero(mask)[0]) for _, mask in fails)
             message = next(msg for msg, mask in fails if mask[index])
@@ -306,21 +348,14 @@ def evaluate(
 
 
 def to_source(e: Expr) -> str:
-    """Print a tree back to parseable source.
+    """Print a tree of any depth back to fully parenthesized source.
 
-    Fully parenthesized, so operator precedence never changes the shape: for
-    a tree returned by :func:`parse`, parse(to_source(x)) is structurally
-    equal to x.  A negative literal prints in parentheses, so it reads back
-    as a negation of the same value.  A non-finite literal has no source and
-    raises :class:`DomainError`.
+    For a tree returned by :func:`parse`, parse(to_source(x)) is structurally
+    equal to x when the text nests no deeper than MAX_DEPTH.  A negative
+    literal prints in parentheses, so it reads back as a negation of the same
+    value.  A non-finite literal has no source and raises :class:`DomainError`.
     """
-    if isinstance(e, Var):
-        return e.name
-    if isinstance(e, Num):
-        if not math.isfinite(e.value):
-            raise DomainError(f"literal {e.value!r} is not finite and has no source")
-        text = repr(e.value)
-        return f"({text})" if text.startswith("-") else text
-    if isinstance(e, Op):
-        return _OPS[e.op].fmt.format(*map(to_source, e.args))
-    raise TypeError(f"not an expression node: {e!r}")
+    tape, bad = _compile(e)
+    if bad is not None:
+        raise DomainError(f"literal {bad!r} is not finite and has no source")
+    return _run(tape, None, None)

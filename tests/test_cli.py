@@ -247,6 +247,24 @@ def test_invalid_config_exit_code(tmp_path, capsys):
     assert "cannot read config" in capsys.readouterr().err
 
 
+def test_too_deep_an_rhs_is_a_config_error(tmp_path, capsys):
+    rhs = "(" * 200 + "u" + ")" * 200
+    cfg = write_config(tmp_path, f"alpha = 1.5\nbeta = 0.5\nxi = 0.5\nrhs = {rhs}\n")
+    for cmd in (["solve", "--config", cfg, "--out", str(tmp_path / "y")], ["certify", "--config", cfg]):
+        assert main(cmd) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ")
+        assert err.endswith("key 'rhs': expression nests too deeply at offset 102\n")
+
+
+@pytest.mark.parametrize("command", ["solve", "certify"])
+def test_a_sum_of_a_thousand_terms_solves_and_certifies(tmp_path, command):
+    # its tree is as deep as the sum is long
+    rhs = "+".join(["0.001*u"] * 1201)
+    cfg = write_config(tmp_path, f"alpha = 1.5\nbeta = 0.5\nxi = 0.5\nrhs = {rhs}\ngrid_n = 129\n")
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "out")]) == 0
+
+
 def test_grid_and_tol_overrides(tmp_path, capsys):
     cfg = write_config(tmp_path)
     out = tmp_path / "run"
@@ -515,7 +533,8 @@ def test_certify_prints_a_huge_k_without_crashing(tmp_path, capsys, k, d, d_pape
 
 
 def test_certify_growth_check_with_an_overflowing_bound_warns_nothing(tmp_path, capsys):
-    # p_star * psi_a overflows to inf, which no sample can exceed
+    # p_star * psi_a overflows to inf, which no sample can exceed; the radius
+    # overflows too, so no fixed point is claimed
     cfg = write_config(
         tmp_path,
         "alpha = 1.5\nbeta = 0.5\nxi = 0.5\nrhs = cos(t)\nk = 0\n"
@@ -524,7 +543,8 @@ def test_certify_growth_check_with_an_overflowing_bound_warns_nothing(tmp_path, 
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert main(["certify", "--config", cfg]) == 0
-    assert read_kv(capsys.readouterr().out)["unique"] == "true"
+    printed = read_kv(capsys.readouterr().out)
+    assert (printed["unique"], printed["r"], printed["exists"]) == ("true", "none", "false")
 
 def test_green_table_values(tmp_path, capsys):
     cfg = write_config(tmp_path)

@@ -159,6 +159,19 @@ def test_parse_error_offsets():
         assert info.value.expected  # never empty
 
 
+@pytest.mark.parametrize("opening, closing", [("(", ")"), ("sin(", ")"), ("-", ""), ("u^", "")])
+def test_nesting_deeper_than_the_limit_is_a_parse_error(opening, closing):
+    # each "(", function argument, "-" and "^" opens one level of nesting;
+    # the deepest one allowed parses within Python's recursion limit
+    deep = opening * expr.MAX_DEPTH + "u" + closing * expr.MAX_DEPTH
+    parse(deep)
+    with pytest.raises(ParseError) as info:
+        parse(opening + deep + closing)
+    offset = len(opening) * (expr.MAX_DEPTH + 1) + 1  # the first token one level too deep
+    message = f"expression nests too deeply at offset {offset}"
+    assert (str(info.value), info.value.offset, info.value.expected) == (message, offset, ())
+
+
 def test_unknown_identifier_offsets():
     with pytest.raises(UnknownIdentifierError) as info:
         parse("sin(w)")
@@ -262,7 +275,7 @@ def test_tree_shapes():
 
 
 def test_a_non_node_is_a_type_error():
-    for bad in ("u", 1.0, Op("+", (Var("u"), "v"))):
+    for bad in ("u", 1.0, Op("+", (Var("u"), "v")), Op("sin", ())):
         with pytest.raises(TypeError):
             evaluate(bad, 0.0, 0.0, 0.0)
         with pytest.raises(TypeError):
@@ -305,6 +318,17 @@ TREES = st.recursive(
 @given(tree=TREES)
 def test_random_trees_round_trip(tree):
     assert parse(to_source(tree)) == tree
+
+
+def test_a_sum_of_any_length_evaluates_and_prints():
+    # the parser builds a sum with a loop, so its tree is as deep as it is
+    # long; the text is compared, since == on such a tree recurses
+    tree = parse("+".join(["u"] * 5000))
+    assert to_source(tree) == "(" * 4999 + "u" + " + u)" * 4999
+    assert evaluate(tree, 0.0, 1.0, 0.0) == 5000.0
+    with pytest.raises(EvaluationError) as info:
+        evaluate(tree, np.zeros(3), np.array([0.0, 1.0, math.inf]), np.zeros(3))
+    assert (str(info.value), info.value.index) == ("non-finite result from '+'", 2)
 
 
 def test_parsed_nodes_have_their_operations_arity():
@@ -570,16 +594,17 @@ def test_non_finite_inputs_pass_through_unary_nodes():
 
 def test_every_evaluation_error_raises_a_floating_point_flag():
     # with finite inputs each failing check shows up as an IEEE exception
-    # flag, so the unmasked walk never returns where the masked walk fails
+    # flag, so the unmasked run never returns where the masked run fails
     for src, t, _ in EVALUATION_ERRORS:
         env = {name: np.array([t if name == "t" else 0.0]) for name in "tuv"}
+        tape, _ = expr._compile(parse(src))
         with np.errstate(**expr._FLAGS), pytest.raises(FloatingPointError):
-            expr._walk(parse(src), env, None)
+            expr._run(tape, env, None)
 
 
 def test_non_finite_literal_is_checked_like_a_non_finite_result():
     # the parser rejects such literals; a hand-built tree still gets the
-    # masked walk's answer
+    # masked run's answer
     tree = Op("+", (Num(math.inf), Var("u")))
     with pytest.raises(EvaluationError) as info:
         evaluate(tree, np.linspace(0.0, 1.0, 3), np.zeros(3), np.zeros(3))

@@ -277,19 +277,19 @@ SOLVE_TEMPLATES = (
 
 @pytest.mark.parametrize("src", SOLVE_TEMPLATES)
 def test_picard_sweeps_walk_unmasked(example_params, src, monkeypatch):
-    # every node visit goes through expr._walk, which calls itself by name
-    visits = []
-    walk = expr._walk
+    # every evaluation runs its tape through expr._run
+    runs = []
+    run = expr._run
 
-    def counting_walk(e, env, fails):
-        visits.append(fails is None)
-        return walk(e, env, fails)
+    def recording_run(tape, env, fails):
+        runs.append(fails is None)
+        return run(tape, env, fails)
 
-    monkeypatch.setattr(expr, "_walk", counting_walk)
+    monkeypatch.setattr(expr, "_run", recording_run)
     spec = ProblemSpec(example_params, parse(src))
     _, report = picard_solve(spec, 129, tol=1e-10)
     assert report.iterations > 5
-    assert visits and all(visits), src
+    assert runs and all(runs), src
 
 
 @pytest.mark.parametrize("n", [129, 513, 8193])
