@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import numpy as np
 
-_BLOCK_ROWS = 1024
+_BLOCK_ROWS = 2048
 _LOW, _HIGH = 1e-8, 1e15  # the range whose digits are computed here
 _MIN_EXP, _MAX_EXP = -8, 15  # its decimal exponents, after rounding
 

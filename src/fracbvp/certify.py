@@ -164,8 +164,8 @@ def certify(
 # The state lattice of every sampled check: 65 t values on [0, 1] crossed
 # with 5 nodes per axis on [-10, 10]^2, each node with four central-difference
 # probes (u+du, u-du, v+dv, v-dv), steps 1e-6 * (1 + |coordinate|).  The
-# points are contiguous arrays of shape (65, 5, 5, 4), so evaluate needs no
-# broadcast; C order is the order of the nested scalar loop
+# points are three contiguous arrays of one shape, (65, 5, 5, 4), as evaluate
+# requires (it broadcasts nothing); C order is the order of the nested scalar loop
 # t -> u -> v -> probe, so the first failing point reported is the one that
 # loop would hit first.
 _AXIS = 10.0 * np.array([-1.0, -0.5, 0.0, 0.5, 1.0])

@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 import re
 from contextlib import suppress
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from operator import itemgetter
 from typing import Callable, NamedTuple, Union
 
@@ -30,18 +30,73 @@ from .errors import DomainError, EvaluationError, ParseError, UnknownIdentifierE
 VARIABLES = ("t", "u", "v")
 
 
-@dataclass(frozen=True)
-class Num:
+class _Text(str):
+    """A piece of a node's repr that is printed as it is."""
+
+
+class _Node:
+    """==, hash() and repr() of a tree node, each walking the tree with an
+    explicit stack, so that a tree of any depth compares, hashes and prints
+    (a parsed sum is as deep as it is long).  The results are the frozen
+    dataclass ones: == compares the fields in order as tuples do, so an
+    identical pair is equal (a NaN literal equals itself), equal trees hash
+    equal, and repr gives the same text."""
+
+    def _fields(self) -> tuple:
+        return tuple(getattr(self, f.name) for f in fields(self))
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        todo = [(self, other)]
+        while todo:
+            a, b = todo.pop()
+            if a is b:
+                continue
+            if isinstance(a, _Node) and a.__class__ is b.__class__:
+                a, b = a._fields(), b._fields()
+            if type(a) is tuple and type(b) is tuple and len(a) == len(b):
+                todo += zip(reversed(a), reversed(b))  # popped left to right
+            elif not a == b:
+                return False
+        return True
+
+    def _pieces(self) -> list:
+        """The repr as a flat list: its text as _Text, each leaf as itself."""
+        out, todo = [], [self]
+        while todo:
+            x = todo.pop()
+            if isinstance(x, _Node):
+                items = [_Text(x.__class__.__qualname__ + "(")]
+                for i, f in enumerate(fields(x)):
+                    items += (_Text(", " * (i > 0) + f.name + "="), getattr(x, f.name))
+                todo += reversed([*items, _Text(")")])
+            elif type(x) is tuple:
+                items = [y for z in x for y in (_Text(", "), z)][1:]
+                todo += reversed([_Text("("), *items, _Text(",)" if len(x) == 1 else ")")])
+            else:
+                out.append(x)
+        return out
+
+    def __hash__(self):
+        return hash(tuple(self._pieces()))
+
+    def __repr__(self):
+        return "".join(x if type(x) is _Text else repr(x) for x in self._pieces())
+
+
+@dataclass(frozen=True, eq=False, repr=False)
+class Num(_Node):
     value: float
 
 
-@dataclass(frozen=True)
-class Var:
+@dataclass(frozen=True, eq=False, repr=False)
+class Var(_Node):
     name: str
 
 
-@dataclass(frozen=True)
-class Op:
+@dataclass(frozen=True, eq=False, repr=False)
+class Op(_Node):
     op: str  # the operation's key in _OPS
     args: tuple["Expr", ...]
 
@@ -307,7 +362,9 @@ def evaluate(
     """Evaluate the tree at the point (t, u, v), or at every point of arrays.
 
     Floats give a float; equal-shape arrays give an array of that shape, one
-    numpy operation per tape step, for a tree of any depth.  Raises
+    numpy operation per tape step, for a tree of any depth.  Anything else,
+    a float with arrays or arrays of two shapes, raises :class:`DomainError`
+    naming the three shapes; nothing is broadcast.  Raises
     :class:`EvaluationError` when a domain check of an operation fails
     (docs/expression-grammar.md lists them).  For arrays the error names the
     lowest failing flat index (``.index``) and carries the message of that
@@ -323,7 +380,8 @@ def evaluate(
     tape, bad = _compile(e)
     t, u, v = (np.asarray(x, dtype=float) for x in (t, u, v))
     if not t.shape == u.shape == v.shape:
-        t, u, v = np.broadcast_arrays(t, u, v)
+        shapes = ", ".join(str(x.shape) for x in (t, u, v))
+        raise DomainError(f"t, u and v must be floats or arrays of one shape, got {shapes}")
     # always 1-d inside: numpy computes 0-d x^2, x^0.5 and x^-1 by special
     # cases that can differ from its array loop by an ulp
     env = {"t": t.reshape(-1), "u": u.reshape(-1), "v": v.reshape(-1)}

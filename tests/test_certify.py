@@ -72,6 +72,11 @@ def test_growth_spec_validation():
         GrowthSpec(-1.0, AffinePsi(1.0))
 
 
+def test_existence_radius_domain():
+    with pytest.raises(DomainError, match="kernel bound must be >= 0"):
+        existence_radius(GrowthSpec(1.0, AffinePsi(1.0)), -1.0)
+
+
 def test_existence_radius_closed_forms(example_params):
     # constant growth (b = 0): r = p* a max(G*, theta)
     th = theta(example_params)

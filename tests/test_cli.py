@@ -322,6 +322,17 @@ def test_outputs_get_the_mode_the_umask_allows(tmp_path, capsys, command):
     assert modes and set(modes.values()) == {0o644}, modes
 
 
+def test_a_failed_rename_leaves_no_temp_file(tmp_path, monkeypatch):
+    def refuse(src, dst):
+        raise OSError("refused")
+
+    monkeypatch.setattr(os, "replace", refuse)
+    with pytest.raises(OSError) as info:
+        cli._write_atomic(str(tmp_path), "report.json", "{}\n")
+    assert str(info.value) == f"cannot write {tmp_path / 'report.json'}: refused"
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_outputs_are_written_without_touching_the_umask(tmp_path, capsys, monkeypatch):
     # the umask is process-wide, so setting it even briefly races with every
     # other thread's file creation

@@ -1,5 +1,6 @@
 """Expression grammar: tokenizer, parser, evaluator, Lipschitz sampling."""
 
+import dataclasses
 import math
 import re
 from pathlib import Path
@@ -172,6 +173,18 @@ def test_nesting_deeper_than_the_limit_is_a_parse_error(opening, closing):
     assert (str(info.value), info.value.offset, info.value.expected) == (message, offset, ())
 
 
+def test_a_function_name_needs_its_parenthesis():
+    with pytest.raises(ParseError) as info:
+        parse("sin t")
+    assert (info.value.offset, info.value.expected) == (5, ("'('",))
+
+
+def test_a_source_that_is_not_a_string_is_a_parse_error():
+    with pytest.raises(ParseError) as info:
+        parse(3)
+    assert (str(info.value), info.value.offset) == ("expression source must be a string", 1)
+
+
 def test_unknown_identifier_offsets():
     with pytest.raises(UnknownIdentifierError) as info:
         parse("sin(w)")
@@ -321,14 +334,67 @@ def test_random_trees_round_trip(tree):
 
 
 def test_a_sum_of_any_length_evaluates_and_prints():
-    # the parser builds a sum with a loop, so its tree is as deep as it is
-    # long; the text is compared, since == on such a tree recurses
+    # the parser builds a sum with a loop, so its tree is as deep as it is long
     tree = parse("+".join(["u"] * 5000))
     assert to_source(tree) == "(" * 4999 + "u" + " + u)" * 4999
+    chain = Var("u")
+    for _ in range(4999):
+        chain = Op("+", (chain, Var("u")))
+    assert tree == chain and hash(tree) == hash(chain)
+    assert tree != Op("+", (chain.args[0], Var("v")))
+    assert repr(tree) == "Op(op='+', args=(" * 4999 + "Var(name='u')" + ", Var(name='u')))" * 4999
     assert evaluate(tree, 0.0, 1.0, 0.0) == 5000.0
     with pytest.raises(EvaluationError) as info:
         evaluate(tree, np.zeros(3), np.array([0.0, 1.0, math.inf]), np.zeros(3))
     assert (str(info.value), info.value.index) == ("non-finite result from '+'", 2)
+
+
+# the node classes as plain frozen dataclasses, whose ==, hash and repr recurse
+REFERENCE = {
+    cls: dataclasses.make_dataclass(
+        cls.__name__, [f.name for f in dataclasses.fields(cls)], frozen=True
+    )
+    for cls in (Num, Var, Op)
+}
+
+
+def _reference(tree):
+    if isinstance(tree, Op):
+        return REFERENCE[Op](tree.op, tuple(_reference(x) for x in tree.args))
+    return REFERENCE[type(tree)](*dataclasses.astuple(tree))
+
+
+LEAVES = st.sampled_from(["t", "u", "w"]).map(Var) | st.sampled_from(
+    [0.0, -0.0, 1, True, 2.5, math.nan, math.inf, "x'y"]
+).map(Num)
+WILD_TREES = st.recursive(
+    LEAVES,
+    lambda operand: st.builds(
+        Op, st.sampled_from(["+", "neg", "zz"]), st.lists(operand, max_size=3).map(tuple)
+    ),
+    max_leaves=8,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(a=WILD_TREES, b=WILD_TREES, same=st.booleans())
+def test_nodes_compare_hash_and_print_as_frozen_dataclasses(a, b, same):
+    # any field values and operand counts, a NaN literal (one float object,
+    # so identical operands compare equal) and 0.0 against -0.0 included
+    b = a if same else b
+    ra, rb = _reference(a), _reference(b)
+    assert repr(a) == repr(ra)
+    assert (a == b, a != b, a == a) == (ra == rb, ra != rb, ra == ra)
+    if a == b:
+        assert hash(a) == hash(b)
+    assert (a == 3, a == ra) == (False, False)
+
+
+def test_equal_trees_of_different_text_hash_equal():
+    for a, b in ((0.0, -0.0), (1, 1.0), (True, 1.0)):
+        tree_a, tree_b = (Op("+", (Var("u"), Op("neg", (Num(x),)))) for x in (a, b))
+        assert repr(tree_a) != repr(tree_b)
+        assert tree_a == tree_b and hash(tree_a) == hash(tree_b)
 
 
 def test_parsed_nodes_have_their_operations_arity():
@@ -519,6 +585,22 @@ def test_evaluate_scalar_returns_float_and_arrays_keep_shape():
     out = evaluate(tree, t, t, t)
     assert out.shape == (2, 3)
     assert evaluate(parse("2"), t, t, t).tolist() == [[2.0] * 3] * 2
+
+
+def test_evaluate_rejects_inputs_of_different_shapes():
+    # a float with arrays, or arrays of two shapes, would broadcast
+    tree = parse("u^t")
+    one, row = np.ones(3), np.ones((1, 3))
+    for t, u, v, shapes in (
+        (0.5, one, one, "(), (3,), (3,)"),
+        (one, one, row, "(3,), (3,), (1, 3)"),
+        (one, np.ones(6).reshape(2, 3), one, "(3,), (2, 3), (3,)"),
+    ):
+        with pytest.raises(DomainError) as info:
+            evaluate(tree, t, u, v)
+        assert str(info.value) == f"t, u and v must be floats or arrays of one shape, got {shapes}"
+    # numpy scalars and 0-d arrays are floats
+    assert evaluate(tree, np.float64(0.5), np.array(4.0), 1) == 2.0
 
 
 def test_evaluate_result_does_not_alias_inputs():

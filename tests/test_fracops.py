@@ -78,6 +78,11 @@ def test_gamma_rejects_nonpositive_arguments():
             gamma(x)
 
 
+def test_left_kernel_order_must_be_positive():
+    with pytest.raises(DomainError, match="kernel order must be > 0"):
+        left_kernel_toeplitz(0.0, Grid(5))
+
+
 def test_grid_construction():
     g = Grid(5)
     assert g.h == pytest.approx(0.25)

@@ -114,6 +114,11 @@ def test_picard_fixed_point_drift(example_spec, example_solution):
     assert pair_distance(pair, moved) <= 2e-10
 
 
+def test_apply_T_rejects_weights_of_another_grid(example_spec):
+    with pytest.raises(DomainError, match="weight matrices do not match"):
+        apply_T(example_spec, zero_pair(Grid(33)), np.eye(4), np.eye(4))
+
+
 def test_picard_example_residual(example_spec, example_solution):
     pair, _ = example_solution
     rep = residual(example_spec, pair)
