@@ -19,89 +19,13 @@ from __future__ import annotations
 import math
 import re
 from contextlib import suppress
-from dataclasses import dataclass, fields
-from operator import itemgetter
-from typing import Callable, NamedTuple, Union
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from .errors import DomainError, EvaluationError, ParseError, UnknownIdentifierError
 
 VARIABLES = ("t", "u", "v")
-
-
-class _Text(str):
-    """A piece of a node's repr that is printed as it is."""
-
-
-class _Node:
-    """==, hash() and repr() of a tree node, each walking the tree with an
-    explicit stack, so that a tree of any depth compares, hashes and prints
-    (a parsed sum is as deep as it is long).  The results are the frozen
-    dataclass ones: == compares the fields in order as tuples do, so an
-    identical pair is equal (a NaN literal equals itself), equal trees hash
-    equal, and repr gives the same text."""
-
-    def _fields(self) -> tuple:
-        return tuple(getattr(self, f.name) for f in fields(self))
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        todo = [(self, other)]
-        while todo:
-            a, b = todo.pop()
-            if a is b:
-                continue
-            if isinstance(a, _Node) and a.__class__ is b.__class__:
-                a, b = a._fields(), b._fields()
-            if type(a) is tuple and type(b) is tuple and len(a) == len(b):
-                todo += zip(reversed(a), reversed(b))  # popped left to right
-            elif not a == b:
-                return False
-        return True
-
-    def _pieces(self) -> list:
-        """The repr as a flat list: its text as _Text, each leaf as itself."""
-        out, todo = [], [self]
-        while todo:
-            x = todo.pop()
-            if isinstance(x, _Node):
-                items = [_Text(x.__class__.__qualname__ + "(")]
-                for i, f in enumerate(fields(x)):
-                    items += (_Text(", " * (i > 0) + f.name + "="), getattr(x, f.name))
-                todo += reversed([*items, _Text(")")])
-            elif type(x) is tuple:
-                items = [y for z in x for y in (_Text(", "), z)][1:]
-                todo += reversed([_Text("("), *items, _Text(",)" if len(x) == 1 else ")")])
-            else:
-                out.append(x)
-        return out
-
-    def __hash__(self):
-        return hash(tuple(self._pieces()))
-
-    def __repr__(self):
-        return "".join(x if type(x) is _Text else repr(x) for x in self._pieces())
-
-
-@dataclass(frozen=True, eq=False, repr=False)
-class Num(_Node):
-    value: float
-
-
-@dataclass(frozen=True, eq=False, repr=False)
-class Var(_Node):
-    name: str
-
-
-@dataclass(frozen=True, eq=False, repr=False)
-class Op(_Node):
-    op: str  # the operation's key in _OPS
-    args: tuple["Expr", ...]
-
-
-Expr = Union[Num, Var, Op]
 
 
 class _Op(NamedTuple):
@@ -148,6 +72,41 @@ _OPS = {
 # a function is an operation printed as its name applied to its operand
 FUNCTIONS = tuple(op for op, row in _OPS.items() if row.fmt == op + "({})")
 
+
+class Expr(tuple):
+    """A right-hand side as its post-order steps (key, payload): (op, arity)
+    applies an operation of _OPS to the last ``arity`` values, ("var",
+    name) reads one of VARIABLES and ("num", x) is a finite float literal.
+    ==, hash() and repr() are the tuple's.  Anything that is not such a
+    program, leaving one value, raises TypeError; a non-finite literal,
+    which has no source, raises :class:`DomainError`."""
+
+    __slots__ = ()
+
+    def __new__(cls, steps):
+        self = super().__new__(cls, steps)
+        depth = 0  # the values a run would hold
+        for step in self:
+            key, payload = step if type(step) is tuple and len(step) == 2 else (None, None)
+            if key == "num":
+                ok, arity = type(payload) is float, 0
+            elif key == "var":
+                ok, arity = payload in VARIABLES, 0
+            else:
+                arity = _OPS[key].fmt.count("{}") if key in _OPS else None
+                ok = type(payload) is int and payload == arity
+            if not ok:
+                raise TypeError(f"not an expression step: {step!r}")
+            if arity > depth:
+                raise TypeError(f"step {step!r} has too few operands")
+            if key == "num" and not math.isfinite(payload):
+                raise DomainError(f"literal {payload!r} is not finite and has no source")
+            depth += 1 - arity
+        if depth != 1:
+            raise TypeError(f"steps leave {depth} values, not one")
+        return self
+
+
 _ATOM_EXPECTED = ("number", "'pi'", "variable", "function", "'('", "'-'")
 # ASCII digits only: \d and str.isdigit would also take "٣"
 _NUMBER = re.compile(r"(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][+-]?[0-9]+)?")
@@ -159,8 +118,7 @@ _LEVELS = (("+", "-"), ("*", "/"))
 MAX_DEPTH = 100
 
 
-@dataclass(frozen=True)
-class _Token:
+class _Token(NamedTuple):
     kind: str  # "num", "ident", "op", "end"
     text: str
     offset: int  # 1-based character offset in the source
@@ -191,10 +149,14 @@ def _tokenize(source: str) -> list[_Token]:
 
 
 class _Parser:
+    """Recursive descent that meets each operation's operands before the
+    operation, so it appends post-order steps to ``steps`` as it goes."""
+
     def __init__(self, source: str):
         self.tokens = _tokenize(source)
         self.pos = 0
         self.depth = 0  # the levels of nesting now open
+        self.steps: list[tuple] = []
 
     def peek(self) -> _Token:
         return self.tokens[self.pos]
@@ -221,37 +183,40 @@ class _Parser:
         )
 
     def parse(self) -> Expr:
-        node = self.expr()
+        self.expr()
         if self.peek().kind != "end":
             raise self.fail(("operator", "end of input"))
-        return node
+        return Expr(self.steps)
 
-    def expr(self, level: int = 0) -> Expr:
+    def expr(self, level: int = 0) -> None:
         if level == len(_LEVELS):
             return self.unary()
-        node = self.expr(level + 1)
+        self.expr(level + 1)
         while (tok := self.match_op(*_LEVELS[level])) is not None:
-            node = Op(tok.text, (node, self.expr(level + 1)))
-        return node
+            self.expr(level + 1)
+            self.steps.append((tok.text, 2))
 
-    def unary(self) -> Expr:
+    def unary(self) -> None:
         # every level of nesting passes here: "(", a function's argument, "-", "^"
         if self.depth > MAX_DEPTH:
             offset = self.peek().offset
             raise ParseError(f"expression nests too deeply at offset {offset}", offset, ())
         self.depth += 1
-        node = Op("neg", (self.unary(),)) if self.match_op("-") is not None else self.power()
+        if self.match_op("-") is not None:
+            self.unary()
+            self.steps.append(("neg", 1))
+        else:
+            self.power()
         self.depth -= 1
-        return node
 
-    def power(self) -> Expr:
-        node = self.atom()
+    def power(self) -> None:
+        self.atom()
         if self.match_op("^") is not None:
             # right-associative; unary here lets exponents carry their sign
-            return Op("^", (node, self.unary()))
-        return node
+            self.unary()
+            self.steps.append(("^", 2))
 
-    def atom(self) -> Expr:
+    def atom(self) -> None:
         tok = self.peek()
         if tok.kind == "num":
             self.advance()
@@ -259,31 +224,33 @@ class _Parser:
             if not math.isfinite(value):
                 message = f"numeric literal {tok.text!r} at offset {tok.offset} is not finite"
                 raise ParseError(message, tok.offset, ("finite number",))
-            return Num(value)
-        if tok.kind == "ident":
+            self.steps.append(("num", value))
+        elif tok.kind == "ident":
             self.advance()
             name = tok.text
             if name == "pi":
-                return Num(math.pi)
-            if name in VARIABLES:
-                return Var(name)
-            if name in FUNCTIONS:
+                self.steps.append(("num", math.pi))
+            elif name in VARIABLES:
+                self.steps.append(("var", name))
+            elif name in FUNCTIONS:
                 if self.peek().text != "(":
                     raise self.fail(("'('",))
-                return Op(name, (self.atom(),))  # the parenthesized argument
-            message = f"unknown identifier {name!r} at offset {tok.offset}"
-            expected = ("variable t, u, v", "function", "'pi'")
-            raise UnknownIdentifierError(message, tok.offset, expected)
-        if self.match_op("(") is not None:
-            node = self.expr()
+                self.atom()  # the parenthesized argument
+                self.steps.append((name, 1))
+            else:
+                message = f"unknown identifier {name!r} at offset {tok.offset}"
+                expected = ("variable t, u, v", "function", "'pi'")
+                raise UnknownIdentifierError(message, tok.offset, expected)
+        elif self.match_op("(") is not None:
+            self.expr()
             if self.match_op(")") is None:
                 raise self.fail(("')'",))
-            return node
-        raise self.fail(_ATOM_EXPECTED)
+        else:
+            raise self.fail(_ATOM_EXPECTED)
 
 
 def parse(source: str) -> Expr:
-    """Parse source text into an expression tree.
+    """Parse source text into an :class:`Expr`, its post-order steps.
 
     Raises :class:`ParseError` with a 1-based character offset and the set of
     acceptable tokens; unknown names raise :class:`UnknownIdentifierError`.
@@ -294,64 +261,36 @@ def parse(source: str) -> Expr:
     return _Parser(source).parse()
 
 
-# For finite inputs and literals, every check of a masked run implies one of
-# these IEEE 754 exception flags; underflow alone is never a failure.
+# For finite inputs, every check of a masked run implies one of these
+# IEEE 754 exception flags; underflow alone is never a failure.
 _FLAGS = {"divide": "raise", "over": "raise", "invalid": "raise", "under": "ignore"}
 
-# the last tree compiled, its tape and its leftmost non-finite literal
-_memo: tuple = (None, [], None)
 
-
-def _compile(e: Expr) -> tuple[list[tuple], float | None]:
-    """The tree's tape and its leftmost non-finite literal, or None.
-
-    The tape lists the nodes in post-order as (fn, fmt, checks, arity)
-    steps: an operation's _OPS row and operand count, or a leaf of arity 0
-    that reads its variable from ``env`` or fills an array with its literal.
-    An explicit stack builds it, so any depth compiles.  The last tree's
-    tape is found again by identity, as hashing a tree costs a pass over it.
-    """
-    global _memo
-    tree, tape, bad = _memo
-    if tree is e:
-        return tape, bad
-    tape, bad, todo = [], None, [e]
-    while todo:  # the root, then right before left: post-order reversed
-        node = todo.pop()
-        if isinstance(node, Op) and len(node.args) == _OPS[node.op].fmt.count("{}"):
-            tape.append((*_OPS[node.op], len(node.args)))
-            todo += node.args
-        elif isinstance(node, Var):
-            tape.append((itemgetter(node.name), node.name, (), 0))
-        elif isinstance(node, Num):
-            x, text = node.value, repr(node.value)
-            fill = lambda env, x=x: np.full(env["t"].shape, x)  # noqa: E731
-            tape.append((fill, f"({text})" if text[0] == "-" else text, (), 0))
-            bad = bad if math.isfinite(x) else x  # the last one met is the leftmost
-        else:
-            raise TypeError(f"not an expression node: {node!r}")
-    tape.reverse()
-    _memo = (e, tape, bad)
-    return tape, bad
-
-
-def _run(tape: list[tuple], env: dict[str, np.ndarray] | None, fails: list | None):
-    """Run a tape on a stack: each step pops its operands (a leaf's one
-    operand is ``env``) and pushes its ``fn`` of them, or with ``env=None``
-    its ``fmt`` filled with them.  Every check that flags a point is
-    appended to ``fails`` in the order the checks run; ``fails=None`` skips
-    the checks, for a run under _FLAGS."""
+def _run(e: Expr, env: dict[str, np.ndarray] | None, fails: list | None):
+    """Run the steps on a stack.  A leaf pushes its variable from ``env`` or
+    its literal in the shape of ``env["t"]``; an operation pops its operands
+    and pushes its ``fn`` of them, or with ``env=None`` every step pushes
+    its text.  Each check that flags a point is appended to ``fails`` in the
+    order the checks run; ``fails=None`` skips them, for a run under _FLAGS."""
     stack: list = []
-    for fn, fmt, checks, arity in tape:
-        cut = len(stack) - arity
-        args = stack[cut:] if arity else [env]
-        del stack[cut:]
-        out = fmt.format(*args) if env is None else fn(*args)
-        if fails is not None:
-            for check, message in checks:
-                mask = check(*args, out)
-                if mask.any():
-                    fails.append((message, mask))
+    for key, payload in e:
+        if key == "var":
+            out = payload if env is None else env[payload]
+        elif key == "num" and env is not None:
+            out = np.full(env["t"].shape, payload)
+        elif key == "num":
+            text = repr(payload)
+            out = f"({text})" if text[0] == "-" else text
+        else:
+            fn, fmt, checks = _OPS[key]
+            args = stack[-payload:]
+            del stack[-payload:]
+            out = fmt.format(*args) if env is None else fn(*args)
+            if fails is not None:
+                for check, message in checks:
+                    mask = check(*args, out)
+                    if mask.any():
+                        fails.append((message, mask))
         stack.append(out)
     return stack.pop()
 
@@ -359,25 +298,26 @@ def _run(tape: list[tuple], env: dict[str, np.ndarray] | None, fails: list | Non
 def evaluate(
     e: Expr, t: float | np.ndarray, u: float | np.ndarray, v: float | np.ndarray
 ) -> float | np.ndarray:
-    """Evaluate the tree at the point (t, u, v), or at every point of arrays.
+    """Evaluate the expression at the point (t, u, v), or at every point of arrays.
 
     Floats give a float; equal-shape arrays give an array of that shape, one
-    numpy operation per tape step, for a tree of any depth.  Anything else,
-    a float with arrays or arrays of two shapes, raises :class:`DomainError`
-    naming the three shapes; nothing is broadcast.  Raises
-    :class:`EvaluationError` when a domain check of an operation fails
-    (docs/expression-grammar.md lists them).  For arrays the error names the
-    lowest failing flat index (``.index``) and carries the message of that
-    point's first failing operation in evaluation order, as a scalar call
-    there would.
+    numpy operation per step.  Anything else, a float with arrays or arrays
+    of two shapes, raises :class:`DomainError` naming the three shapes;
+    nothing is broadcast.  An ``e`` that is not an :class:`Expr` raises
+    TypeError.  A failing domain check of an operation raises
+    :class:`EvaluationError` (docs/expression-grammar.md lists the checks);
+    for arrays it names the lowest failing flat index (``.index``) and
+    carries the message of that point's first failing operation in
+    evaluation order, as a scalar call there would.
 
     Floating-point flags detect a failure; masks explain it.  With finite
-    inputs and literals the tape runs once with no checks, under numpy's
-    IEEE divide, overflow and invalid flags set to raise, which every
-    failing check then raises.  Only a raised flag or a non-finite input or
-    literal runs it again with every check as a mask.
+    inputs the steps run once with no checks, under numpy's IEEE divide,
+    overflow and invalid flags set to raise, which every failing check then
+    raises.  Only a raised flag or a non-finite input runs them again with
+    every check as a mask.
     """
-    tape, bad = _compile(e)
+    if not isinstance(e, Expr):
+        raise TypeError(f"not an expression: {e!r}")
     t, u, v = (np.asarray(x, dtype=float) for x in (t, u, v))
     if not t.shape == u.shape == v.shape:
         shapes = ", ".join(str(x.shape) for x in (t, u, v))
@@ -386,34 +326,33 @@ def evaluate(
     # cases that can differ from its array loop by an ulp
     env = {"t": t.reshape(-1), "u": u.reshape(-1), "v": v.reshape(-1)}
     out = None
-    # with an infinite input a node can fail with no flag: 1/(t+1) is 0
-    if bad is None and all(np.isfinite(x).all() for x in env.values()):
+    # with an infinite input a step can fail with no flag: 1/(t+1) is 0
+    if all(np.isfinite(x).all() for x in env.values()):
         with suppress(FloatingPointError), np.errstate(**_FLAGS):
-            out = _run(tape, env, None)
+            out = _run(e, env, None)
     if out is None:
         fails: list[tuple[str, np.ndarray]] = []
         with np.errstate(all="ignore"):
-            out = _run(tape, env, fails)
+            out = _run(e, env, fails)
         if fails:
             index = min(int(np.flatnonzero(mask)[0]) for _, mask in fails)
             message = next(msg for msg, mask in fails if mask[index])
             raise EvaluationError(message, index)
     if t.ndim == 0:
         return float(out[0])
-    if isinstance(e, Var):
+    if e[-1][0] == "var":  # the result is an input
         out = out.copy()
     return out.reshape(t.shape)
 
 
 def to_source(e: Expr) -> str:
-    """Print a tree of any depth back to fully parenthesized source.
+    """Print an expression of any length back to fully parenthesized source.
 
-    For a tree returned by :func:`parse`, parse(to_source(x)) is structurally
-    equal to x when the text nests no deeper than MAX_DEPTH.  A negative
-    literal prints in parentheses, so it reads back as a negation of the same
-    value.  A non-finite literal has no source and raises :class:`DomainError`.
+    For an :class:`Expr` returned by :func:`parse`, parse(to_source(x)) == x
+    when the text nests no deeper than MAX_DEPTH.  A negative literal prints
+    in parentheses, so it reads back as a negation of the same value.  An
+    ``e`` that is not an :class:`Expr` raises TypeError.
     """
-    tape, bad = _compile(e)
-    if bad is not None:
-        raise DomainError(f"literal {bad!r} is not finite and has no source")
-    return _run(tape, None, None)
+    if not isinstance(e, Expr):
+        raise TypeError(f"not an expression: {e!r}")
+    return _run(e, None, None)

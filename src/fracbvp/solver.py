@@ -34,7 +34,7 @@ _PROBE_SEED = 1.0
 
 @dataclass(frozen=True)
 class ProblemSpec:
-    """Problem parameters plus the right-hand side f as an expression tree."""
+    """Problem parameters plus the right-hand side f as a parsed expression."""
 
     params: ProblemParams
     rhs: Expr

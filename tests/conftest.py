@@ -21,7 +21,6 @@ from fracbvp import (
     picard_solve,
 )
 from fracbvp.errors import EvaluationError
-from fracbvp.expr import Num, Op, Var
 from fracbvp.greens import _companion_terms, _value, green_branch_value
 
 EXAMPLE_RHS = "sin(t)^2/(11*(exp(2*t)+3*exp(t)+1))*(3+t+5*u+v)"
@@ -114,54 +113,66 @@ def _oracle_pow(base, exponent):
         raise EvaluationError("overflow in power") from None
 
 
-def oracle_evaluate(e, t, u, v):
-    """Reference scalar evaluation: a recursive walk on Python floats and
-    the math module that raises at the first failing operation."""
-    if isinstance(e, Num):
-        return e.value
-    if isinstance(e, Var):
-        return {"t": t, "u": u, "v": v}[e.name]
-    if not isinstance(e, Op):
-        raise TypeError(f"not an expression node: {e!r}")
-    args = [oracle_evaluate(a, t, u, v) for a in e.args]
-    if e.op == "neg":
+def _oracle_op(op, *args):
+    """One operation on Python floats, raising as its domain checks do."""
+    if op == "neg":
         return -args[0]
     if len(args) == 2:
         a, b = args
-        if e.op == "+":
+        if op == "+":
             out = a + b
-        elif e.op == "-":
+        elif op == "-":
             out = a - b
-        elif e.op == "*":
+        elif op == "*":
             out = a * b
-        elif e.op == "/":
+        elif op == "/":
             if b == 0.0:
                 raise EvaluationError("division by zero")
             out = a / b
         else:
             out = _oracle_pow(a, b)
         if not math.isfinite(out):
-            raise EvaluationError(f"non-finite result from {e.op!r}")
+            raise EvaluationError(f"non-finite result from {op!r}")
         return out
     (x,) = args
-    if e.op == "sin":
+    if op == "sin":
         return math.sin(x)
-    if e.op == "cos":
+    if op == "cos":
         return math.cos(x)
-    if e.op == "exp":
+    if op == "exp":
         try:
             return math.exp(x)
         except OverflowError:
             raise EvaluationError("overflow in exp") from None
-    if e.op == "ln":
+    if op == "ln":
         if x <= 0.0:
             raise EvaluationError("ln of a non-positive value")
         return math.log(x)
-    if e.op == "sqrt":
+    if op == "sqrt":
         if x < 0.0:
             raise EvaluationError("sqrt of a negative value")
         return math.sqrt(x)
     return abs(x)
+
+
+def oracle_evaluate(e, t, u, v):
+    """Reference scalar evaluation: a stack run over the post-order steps on
+    Python floats and the math module, raising at the first failing
+    operation.  It reads each step's arity from the step, never the
+    library's operation table."""
+    point = {"t": t, "u": u, "v": v}
+    stack = []
+    for key, payload in e:
+        if key == "num":
+            stack.append(payload)
+        elif key == "var":
+            stack.append(point[payload])
+        else:
+            args = stack[len(stack) - payload :]
+            del stack[len(stack) - payload :]
+            stack.append(_oracle_op(key, *args))
+    (out,) = stack
+    return out
 
 
 # Reference G* scan: per t, the kernel's sign changes are bracketed on an

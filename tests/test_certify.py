@@ -230,3 +230,35 @@ def test_contraction_constant_of_the_kernel_bound_is_the_papers_d():
         d = contraction_constant(k, max(g, th))
         assert d.hex() == max(2.0 * k * g, 2.0 * k * th).hex(), (k, g, th)
     assert contraction_constant(1e308, 2.0) == float("inf")
+
+
+def test_a_contraction_constant_of_exactly_one_is_not_unique(example_spec):
+    # the example's theta = 2 exceeds its G* = 0.55, so k = 1/4 gives
+    # d = 2 * 0.25 * 2 = 1 exactly, with no rounding: a map with d = 1 need
+    # not contract
+    cert = certify(example_spec, k=0.25, m=33)
+    assert (cert.theta, cert.d, cert.unique) == (2.0, 1.0, False)
+
+
+def test_a_growth_slope_of_exactly_one_has_no_radius():
+    # p* b max(G*, theta) = 1 * 0.5 * 2 = 1 exactly: r >= 2 (1 + r/2) = 2 + r
+    # holds for no finite r
+    assert existence_radius(GrowthSpec(1.0, AffinePsi(1.0, 0.5)), 2.0) is None
+
+
+def test_contradiction_refuses_a_k_a_millionth_below_the_quotients():
+    # 3*u + 0.5*v has u-quotients 3 up to roundoff: at most 4.4e-10 max|f|
+    # = 1.5e-8 here (max|f| = 35), and 4.2e-10 as sampled.  k = 3 (1 - 1e-6)
+    # is 3e-6 below, 200 times that bound and 80 times the slack
+    # 1e-9 (k + max|f|) = 3.8e-8, yet 1e4 times below a slack of 1e-3.
+    refusal = contradiction(parse("3*u + 0.5*v"), 3.0 * (1 - 1e-6), None)
+    assert refusal is not None and refusal.startswith("key 'k': 2.999997 is below")
+
+
+def test_contradiction_refuses_a_growth_bound_a_millionth_too_low():
+    # |1 + u/2| reaches 6.0000055 at u = 10 + du, where psi with b lowered by
+    # 1e-6 relative gives 6.0000005: an excess of 5e-6, 700 times the slack
+    # 1e-9 (1 + |f|) = 7e-9, yet 140 times below a slack of 1e-4.
+    growth = GrowthSpec(1.0, AffinePsi(1.0, 0.5 * (1 - 1e-6)))
+    refusal = contradiction(parse("1 + 0.5*u"), None, growth)
+    assert refusal is not None and refusal.startswith("key 'p_star'")

@@ -1,6 +1,5 @@
 """Expression grammar: tokenizer, parser, evaluator, Lipschitz sampling."""
 
-import dataclasses
 import math
 import re
 from pathlib import Path
@@ -12,9 +11,23 @@ from hypothesis import strategies as st
 
 from fracbvp import DomainError, evaluate, expr, lipschitz_estimate, parse
 from fracbvp.errors import EvaluationError, ParseError, UnknownIdentifierError
-from fracbvp.expr import Num, Op, Var, to_source
+from fracbvp.expr import Expr, to_source
 
 from conftest import oracle_evaluate
+
+
+# builders that join steps: a literal, a variable, an operation on operands
+def num(x):
+    return Expr([("num", x)])
+
+
+def var(name):
+    return Expr([("var", name)])
+
+
+def op(key, *operands):
+    return Expr([*(step for x in operands for step in x), (key, len(operands))])
+
 
 # round-trip corpus: every production, every function, assorted shapes
 EXPRESSION_CORPUS = (
@@ -281,30 +294,65 @@ def test_example_rhs_zero_at_origin():
 
 def test_tree_shapes():
     tree = parse("-2^2")
-    assert tree == Op("neg", (Op("^", (Num(2.0), Num(2.0))),))
+    assert tree == op("neg", op("^", num(2.0), num(2.0)))
+    assert tree == (("num", 2.0), ("num", 2.0), ("^", 2), ("neg", 1))
     tree = parse("2^3^2")
-    assert tree == Op("^", (Num(2.0), Op("^", (Num(3.0), Num(2.0)))))
-    assert parse("sin(t)") == Op("sin", (Var("t"),))
+    assert tree == op("^", num(2.0), op("^", num(3.0), num(2.0)))
+    assert parse("sin(t)") == op("sin", var("t"))
 
 
-def test_a_non_node_is_a_type_error():
-    for bad in ("u", 1.0, Op("+", (Var("u"), "v")), Op("sin", ())):
-        with pytest.raises(TypeError):
+# steps that are not a program leaving one value, and the refusal of each
+MALFORMED_STEPS = (
+    ([], "steps leave 0 values, not one"),
+    ([("var", "u"), ("var", "v")], "steps leave 2 values, not one"),
+    ([("+", 2)], "step ('+', 2) has too few operands"),
+    # a stack underflow that still leaves one value at the end
+    ([("var", "u"), ("+", 2), ("var", "v")], "step ('+', 2) has too few operands"),
+    ([("var", "u"), ("zz", 1)], "not an expression step: ('zz', 1)"),
+    ([("var", "u"), ("sin", 2)], "not an expression step: ('sin', 2)"),
+    ([("var", "u"), ("var", "v"), ("+", 1)], "not an expression step: ('+', 1)"),
+    ([("var", "u"), ("neg", True)], "not an expression step: ('neg', True)"),
+    ([("var", "w")], "not an expression step: ('var', 'w')"),
+    ([("num", 1)], "not an expression step: ('num', 1)"),
+    ([("num", True)], "not an expression step: ('num', True)"),
+    ([("num", np.float64(1.0))], "not an expression step: ('num', np.float64(1.0))"),
+    ([("num", "1.0")], "not an expression step: ('num', '1.0')"),
+    (["u"], "not an expression step: 'u'"),
+    ([("var",)], "not an expression step: ('var',)"),
+    ([("var", "u", 0)], "not an expression step: ('var', 'u', 0)"),
+    ([["var", "u"]], "not an expression step: ['var', 'u']"),
+)
+
+
+def test_expr_accepts_only_a_program_of_finite_literals():
+    for steps, message in MALFORMED_STEPS:
+        with pytest.raises(TypeError) as info:
+            Expr(steps)
+        assert str(info.value) == message, steps
+    for value in (math.inf, -math.inf, math.nan):
+        with pytest.raises(DomainError) as info:
+            op("+", var("u"), num(value))
+        assert str(info.value) == f"literal {value!r} is not finite and has no source"
+    # evaluate and to_source take an Expr, not its steps in another container
+    steps = list(parse("u+1"))
+    for bad in ("u", 1.0, steps, tuple(steps)):
+        with pytest.raises(TypeError) as info:
             evaluate(bad, 0.0, 0.0, 0.0)
-        with pytest.raises(TypeError):
+        assert str(info.value) == f"not an expression: {bad!r}"
+        with pytest.raises(TypeError) as info:
             to_source(bad)
+        assert str(info.value) == f"not an expression: {bad!r}"
+    # every parsed expression passes the check: each operation has its arity
+    for src in EXPRESSION_CORPUS:
+        assert Expr(parse(src)) == parse(src), src
 
 
 def test_to_source_prints_literals_it_can_read_back():
-    # hand-built literals: a negative one keeps its value as a negation, a
-    # non-finite one has no source
-    square = Op("^", (Num(-1.0), Num(2.0)))
+    # a hand-built negative literal keeps its value as a negation
+    square = op("^", num(-1.0), num(2.0))
     assert to_source(square) == "((-1.0) ^ 2.0)"
     assert evaluate(parse(to_source(square)), 0, 0, 0) == evaluate(square, 0, 0, 0) == 1.0
-    assert to_source(Num(-0.0)) == "(-0.0)"
-    for value in (math.inf, -math.inf, math.nan):
-        with pytest.raises(DomainError):
-            to_source(Op("+", (Var("u"), Num(value))))
+    assert to_source(num(-0.0)) == "(-0.0)"
 
 
 def test_to_source_is_stable():
@@ -313,16 +361,16 @@ def test_to_source_is_stable():
         assert to_source(parse(once)) == once
 
 
-def _arity(op):
-    return expr._OPS[op].fmt.count("{}")
+def _arity(key):
+    return expr._OPS[key].fmt.count("{}")
 
 
 # leaves print as themselves; a negative literal would print as a negation
 TREES = st.recursive(
-    st.sampled_from(expr.VARIABLES).map(Var)
-    | st.floats(min_value=0.0, allow_infinity=False).map(Num),
+    st.sampled_from(expr.VARIABLES).map(var)
+    | st.floats(min_value=0.0, allow_infinity=False).map(num),
     lambda operand: st.sampled_from(sorted(expr._OPS)).flatmap(
-        lambda op: st.tuples(*[operand] * _arity(op)).map(lambda args: Op(op, args))
+        lambda key: st.tuples(*[operand] * _arity(key)).map(lambda args: op(key, *args))
     ),
 )
 
@@ -334,74 +382,16 @@ def test_random_trees_round_trip(tree):
 
 
 def test_a_sum_of_any_length_evaluates_and_prints():
-    # the parser builds a sum with a loop, so its tree is as deep as it is long
+    # the parser builds a sum with a loop; as a tree it is as deep as it is long
     tree = parse("+".join(["u"] * 5000))
     assert to_source(tree) == "(" * 4999 + "u" + " + u)" * 4999
-    chain = Var("u")
-    for _ in range(4999):
-        chain = Op("+", (chain, Var("u")))
+    chain = Expr([("var", "u")] + [("var", "u"), ("+", 2)] * 4999)
     assert tree == chain and hash(tree) == hash(chain)
-    assert tree != Op("+", (chain.args[0], Var("v")))
-    assert repr(tree) == "Op(op='+', args=(" * 4999 + "Var(name='u')" + ", Var(name='u')))" * 4999
+    assert tree != Expr([*chain[:-2], ("var", "v"), ("+", 2)])
     assert evaluate(tree, 0.0, 1.0, 0.0) == 5000.0
     with pytest.raises(EvaluationError) as info:
         evaluate(tree, np.zeros(3), np.array([0.0, 1.0, math.inf]), np.zeros(3))
     assert (str(info.value), info.value.index) == ("non-finite result from '+'", 2)
-
-
-# the node classes as plain frozen dataclasses, whose ==, hash and repr recurse
-REFERENCE = {
-    cls: dataclasses.make_dataclass(
-        cls.__name__, [f.name for f in dataclasses.fields(cls)], frozen=True
-    )
-    for cls in (Num, Var, Op)
-}
-
-
-def _reference(tree):
-    if isinstance(tree, Op):
-        return REFERENCE[Op](tree.op, tuple(_reference(x) for x in tree.args))
-    return REFERENCE[type(tree)](*dataclasses.astuple(tree))
-
-
-LEAVES = st.sampled_from(["t", "u", "w"]).map(Var) | st.sampled_from(
-    [0.0, -0.0, 1, True, 2.5, math.nan, math.inf, "x'y"]
-).map(Num)
-WILD_TREES = st.recursive(
-    LEAVES,
-    lambda operand: st.builds(
-        Op, st.sampled_from(["+", "neg", "zz"]), st.lists(operand, max_size=3).map(tuple)
-    ),
-    max_leaves=8,
-)
-
-
-@settings(max_examples=300, deadline=None)
-@given(a=WILD_TREES, b=WILD_TREES, same=st.booleans())
-def test_nodes_compare_hash_and_print_as_frozen_dataclasses(a, b, same):
-    # any field values and operand counts, a NaN literal (one float object,
-    # so identical operands compare equal) and 0.0 against -0.0 included
-    b = a if same else b
-    ra, rb = _reference(a), _reference(b)
-    assert repr(a) == repr(ra)
-    assert (a == b, a != b, a == a) == (ra == rb, ra != rb, ra == ra)
-    if a == b:
-        assert hash(a) == hash(b)
-    assert (a == 3, a == ra) == (False, False)
-
-
-def test_equal_trees_of_different_text_hash_equal():
-    for a, b in ((0.0, -0.0), (1, 1.0), (True, 1.0)):
-        tree_a, tree_b = (Op("+", (Var("u"), Op("neg", (Num(x),)))) for x in (a, b))
-        assert repr(tree_a) != repr(tree_b)
-        assert tree_a == tree_b and hash(tree_a) == hash(tree_b)
-
-
-def test_parsed_nodes_have_their_operations_arity():
-    for src in EXPRESSION_CORPUS:
-        for node in _nodes(parse(src)):
-            if isinstance(node, Op):
-                assert len(node.args) == _arity(node.op), (src, node)
 
 
 def test_lipschitz_estimate_linear_state_terms():
@@ -437,20 +427,35 @@ def _outcome(call):
         return None, exc
 
 
-def _operands(e):
-    return e.args if isinstance(e, Op) else ()
+def _subexpression(e, end):
+    """The sub-expression whose last step is e[end - 1]: the shortest run of
+    steps ending there that leaves one value."""
+    start, need = end, 1
+    while need:
+        start -= 1
+        key, payload = e[start]
+        need += (0 if key in ("num", "var") else payload) - 1
+    return Expr(e[start:end])
 
 
 def _nodes(e):
-    """Every node of the tree, the root first."""
-    yield e
-    for operand in _operands(e):
-        yield from _nodes(operand)
+    """Every sub-expression, one per step."""
+    return [_subexpression(e, end) for end in range(1, len(e) + 1)]
+
+
+def _operands(e):
+    """The operands of the last step, left to right."""
+    key, payload = e[-1]
+    out, end = [], len(e) - 1
+    for _ in range(0 if key in ("num", "var") else payload):
+        out.insert(0, _subexpression(e, end))
+        end -= len(out[0])
+    return out
 
 
 def _with_operands(e, values):
-    """An operation node with its operands replaced by literals; a leaf as is."""
-    return Op(e.op, tuple(map(Num, values))) if isinstance(e, Op) else e
+    """The last step with its operands replaced by literals; a leaf as is."""
+    return Expr([*(("num", x) for x in values), e[-1]])
 
 
 def _assert_nodes_match_oracle(tree, t, u, v):
@@ -679,15 +684,6 @@ def test_every_evaluation_error_raises_a_floating_point_flag():
     # flag, so the unmasked run never returns where the masked run fails
     for src, t, _ in EVALUATION_ERRORS:
         env = {name: np.array([t if name == "t" else 0.0]) for name in "tuv"}
-        tape, _ = expr._compile(parse(src))
         with np.errstate(**expr._FLAGS), pytest.raises(FloatingPointError):
-            expr._run(tape, env, None)
+            expr._run(parse(src), env, None)
 
-
-def test_non_finite_literal_is_checked_like_a_non_finite_result():
-    # the parser rejects such literals; a hand-built tree still gets the
-    # masked run's answer
-    tree = Op("+", (Num(math.inf), Var("u")))
-    with pytest.raises(EvaluationError) as info:
-        evaluate(tree, np.linspace(0.0, 1.0, 3), np.zeros(3), np.zeros(3))
-    assert str(info.value) == "non-finite result from '+'"

@@ -282,13 +282,13 @@ SOLVE_TEMPLATES = (
 
 @pytest.mark.parametrize("src", SOLVE_TEMPLATES)
 def test_picard_sweeps_walk_unmasked(example_params, src, monkeypatch):
-    # every evaluation runs its tape through expr._run
+    # every evaluation runs its steps through expr._run
     runs = []
     run = expr._run
 
-    def recording_run(tape, env, fails):
+    def recording_run(e, env, fails):
         runs.append(fails is None)
-        return run(tape, env, fails)
+        return run(e, env, fails)
 
     monkeypatch.setattr(expr, "_run", recording_run)
     spec = ProblemSpec(example_params, parse(src))

@@ -11,8 +11,8 @@ and in total, it counts:
   rejected ones, solves and probe restarts;
 - ``rfft``/``irfft`` calls by transform length;
 - ``evaluate`` calls, from the solver and from the sampled lattice checks,
-  and the tape steps they run (the length of each tape ``expr._run`` runs,
-  one step per expression node);
+  and the tape steps they run (the length of each expression ``expr._run``
+  runs, one per post-order step);
 - Newton passes of the G* scan (``greens._convex_residual`` calls);
 - atomic writes, the bytes they write, and the bytes of each operator that
   ``solver.kernel_operators`` builds;
@@ -128,7 +128,7 @@ class _Ledger:
             (np.fft, "irfft", self._transform("irfft"), False),
             (solver, "evaluate", lambda *a: self.add("evaluate_calls"), False),
             (certify, "evaluate", lambda *a: self.add("evaluate_calls"), False),
-            (expr, "_run", lambda tape, *a: self.add("tape_steps", len(tape)), False),
+            (expr, "_run", lambda e, *a: self.add("tape_steps", len(e)), False),
             (greens, "_convex_residual", lambda *a: self.add("newton_passes"), False),
             (cli, "_write_atomic", self._write, False),
             (solver, "kernel_operators", lambda op: self.add("operator_bytes", _operator_bytes(op)), True),
