@@ -333,6 +333,9 @@ def test_expr_accepts_only_a_program_of_finite_literals():
         with pytest.raises(DomainError) as info:
             op("+", var("u"), num(value))
         assert str(info.value) == f"literal {value!r} is not finite and has no source"
+
+
+def test_a_non_node_is_a_type_error():
     # evaluate and to_source take an Expr, not its steps in another container
     steps = list(parse("u+1"))
     for bad in ("u", 1.0, steps, tuple(steps)):
@@ -342,9 +345,6 @@ def test_expr_accepts_only_a_program_of_finite_literals():
         with pytest.raises(TypeError) as info:
             to_source(bad)
         assert str(info.value) == f"not an expression: {bad!r}"
-    # every parsed expression passes the check: each operation has its arity
-    for src in EXPRESSION_CORPUS:
-        assert Expr(parse(src)) == parse(src), src
 
 
 def test_to_source_prints_literals_it_can_read_back():
@@ -363,6 +363,16 @@ def test_to_source_is_stable():
 
 def _arity(key):
     return expr._OPS[key].fmt.count("{}")
+
+
+def test_parsed_nodes_have_their_operations_arity():
+    # every parsed expression passes Expr's check: each operation has its arity
+    for src in EXPRESSION_CORPUS:
+        tree = parse(src)
+        assert Expr(tree) == tree, src
+        for key, payload in tree:
+            if key in expr._OPS:
+                assert payload == _arity(key), (src, key)
 
 
 # leaves print as themselves; a negative literal would print as a negation
