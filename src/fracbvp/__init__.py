@@ -3,7 +3,6 @@ problems with ratio boundary conditions u(0) = xi u(1),
 D^beta u(0) = xi D^beta u(1) on [0, 1]."""
 
 from .certify import (
-    AffinePsi,
     Certificate,
     GrowthSpec,
     certify,
@@ -52,7 +51,6 @@ from .solver import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "AffinePsi",
     "Certificate",
     "ConfigError",
     "DivergenceError",

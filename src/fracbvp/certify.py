@@ -36,9 +36,11 @@ from .solver import ProblemSpec
 
 
 @dataclass(frozen=True)
-class AffinePsi:
-    """Growth envelope psi(r) = a + b r; the default b = 0 is the constant case."""
+class GrowthSpec:
+    """Growth condition |f(t, u, v)| <= p_star (a + b max(|u|, |v|)), b = 0 the
+    constant envelope.  The fields are checked in the order a, b, p_star."""
 
+    p_star: float
     a: float
     b: float = 0.0
 
@@ -47,16 +49,6 @@ class AffinePsi:
             raise DomainError(f"growth envelope needs a > 0, got {self.a!r}")
         if not (math.isfinite(self.b) and self.b >= 0.0):
             raise DomainError(f"growth envelope needs b >= 0, got {self.b!r}")
-
-
-@dataclass(frozen=True)
-class GrowthSpec:
-    """Growth condition |f(t, u, v)| <= p_star * psi(max(|u|, |v|))."""
-
-    p_star: float
-    psi: AffinePsi
-
-    def __post_init__(self) -> None:
         if not (math.isfinite(self.p_star) and self.p_star >= 0.0):
             raise DomainError(f"p_star must be >= 0, got {self.p_star!r}")
 
@@ -115,10 +107,10 @@ def existence_radius(growth: GrowthSpec, kernel_bound: float) -> Optional[float]
     if not (math.isfinite(kernel_bound) and kernel_bound >= 0.0):
         raise DomainError(f"kernel bound must be >= 0, got {kernel_bound!r}")
     p = growth.p_star
-    slope = p * growth.psi.b * kernel_bound
+    slope = p * growth.b * kernel_bound
     if slope >= 1.0:
         return None
-    r = p * growth.psi.a * kernel_bound / (1.0 - slope)
+    r = p * growth.a * kernel_bound / (1.0 - slope)
     return r if math.isfinite(r) else None
 
 
@@ -237,7 +229,7 @@ def contradiction(rhs: Expr, k: Optional[float], growth: Optional[GrowthSpec]) -
     if growth is not None:
         # an overflowing bound is inf, which no sample exceeds
         with np.errstate(over="ignore"):
-            bound = growth.p_star * (growth.psi.a + growth.psi.b * np.maximum(np.abs(u), np.abs(v)))
+            bound = growth.p_star * (growth.a + growth.b * np.maximum(np.abs(u), np.abs(v)))
         excess = size - bound - 1e-9 * (1.0 + size)
         at = np.unravel_index(np.argmax(excess), excess.shape)
         if excess[at] > 0.0:

@@ -26,7 +26,7 @@ import numpy as np
 
 from . import __version__
 from ._csvtext import csv_rows
-from .certify import AffinePsi, Certificate, GrowthSpec, certify, contradiction
+from .certify import Certificate, GrowthSpec, certify, contradiction
 from .errors import (
     ConfigError,
     DivergenceError,
@@ -171,7 +171,7 @@ def parse_config(path: str) -> Config:
         growth = None
         if psi_kind is not None:
             # the constant envelope is the affine one without psi_b
-            growth = GrowthSpec(p_star, AffinePsi(a, 0.0 if b is None else b))
+            growth = GrowthSpec(p_star, a, 0.0 if b is None else b)
     except DomainError as exc:
         raise ConfigError(f"{path}: {exc}") from exc
     try:

@@ -66,6 +66,117 @@ MUTANTS = (
         ("tests/test_certify.py::test_contradiction_refuses_a_growth_bound_a_millionth_too_low",),
     ),
     Mutant(
+        "src/fracbvp/certify.py",
+        "self.a > 0.0",
+        "self.a >= 0.0",
+        ("tests/test_certify.py::test_growth_spec_validation",),
+    ),
+    Mutant(
+        "src/fracbvp/certify.py",
+        "if not (math.isfinite(self.b) and self.b >= 0.0):",
+        "if False:",
+        ("tests/test_certify.py::test_growth_spec_validation",),
+    ),
+    Mutant(
+        "src/fracbvp/certify.py",
+        "self.p_star >= 0.0",
+        "self.p_star > 0.0",
+        ("tests/test_certify.py::test_a_zero_p_star_is_a_growth_bound_with_radius_zero",),
+    ),
+    Mutant(
+        "src/fracbvp/certify.py",
+        "kernel_bound = max(gs, th)",
+        "kernel_bound = th",
+        ("tests/test_bench_checks.py::test_benchmark_ops_pass_the_benchmark_checks",),
+    ),
+    Mutant(
+        "src/fracbvp/certify.py",
+        "x[::32]",
+        "x[::64]",
+        ("tests/test_certify.py::test_every_sampled_check_reads_one_state_lattice",),
+    ),
+    Mutant(
+        "src/fracbvp/certify.py",
+        "_DU, _DV = 1e-6 * (1.0 + np.abs(_NODE_U)), 1e-6 * (1.0 + np.abs(_NODE_V))",
+        "_DU, _DV = 1e-3 * (1.0 + np.abs(_NODE_U)), 1e-3 * (1.0 + np.abs(_NODE_V))",
+        ("tests/test_certify.py::test_every_sampled_check_reads_one_state_lattice",),
+    ),
+    # the scan drops t = 1
+    Mutant(
+        "src/fracbvp/greens.py",
+        "np.linspace(0.0, 1.0, m))))",
+        "np.linspace(0.0, 1.0, m)[:-1])))",
+        ("tests/test_greens.py::test_gstar_matches_oracle",),
+    ),
+    Mutant(
+        "src/fracbvp/greens.py",
+        "_NEWTON_MAX_PASSES, _NEWTON_ROUNDOFF = 64, 4e-16",
+        "_NEWTON_MAX_PASSES, _NEWTON_ROUNDOFF = 64, 4e-10",
+        ("tests/test_greens.py::test_newton_root_mass_matches_bisection",),
+    ),
+    Mutant(
+        "src/fracbvp/greens.py",
+        "_NEWTON_MAX_PASSES, _NEWTON_ROUNDOFF = 64, 4e-16",
+        "_NEWTON_MAX_PASSES, _NEWTON_ROUNDOFF = 3, 4e-16",
+        ("tests/test_greens.py::test_newton_root_mass_matches_bisection",),
+    ),
+    Mutant(
+        "src/fracbvp/greens.py",
+        "grow = (step > z) & (f > _NEWTON_ROUNDOFF * positive)",
+        "grow = (step > z) & (f > 0.0)",
+        ("tests/test_greens.py::test_newton_loop_pass_count",),
+    ),
+    Mutant(
+        "src/fracbvp/solver.py",
+        "_RISE = 0.01",
+        "_RISE = 0.2",
+        ("tests/test_solver.py::test_witness",),
+    ),
+    Mutant(
+        "src/fracbvp/solver.py",
+        "_JUMP = 0.01",
+        "_JUMP = 0.0",
+        ("tests/test_solver.py::test_history_restarts_after_a_jump",),
+    ),
+    # test_witness fails for the witness count itself; the CSV pin of v(1)
+    # fails too, but only by accident
+    Mutant(
+        "src/fracbvp/solver.py",
+        "_WITNESS = 3",
+        "_WITNESS = 1",
+        ("tests/test_solver.py::test_witness",),
+    ),
+    Mutant(
+        "src/fracbvp/solver.py",
+        "accept = not candidate or diff <= witness * last",
+        "accept = True",
+        ("tests/test_solver.py::test_rejected_candidates_leave_the_plain_trajectory",),
+    ),
+    Mutant(
+        "src/fracbvp/solver.py",
+        "if report.iterations == 1:",
+        "if False:",
+        ("tests/test_acceptance.py::test_criterion_10_divergence_detection",),
+    ),
+    Mutant(
+        "src/fracbvp/solver.py",
+        "DIVERGENCE_CAP = 1e8",
+        "DIVERGENCE_CAP = 1e300",
+        ("tests/test_solver.py::test_candidates_that_fail_are_rejected",),
+    ),
+    Mutant(
+        "src/fracbvp/_csvtext.py",
+        "e = ((ah * sh - p) + ah * sl + al * sh) + al * sl",
+        "e = 0.0 * p",
+        ("tests/test_cli.py::test_solution_csv_matches_per_value_writer_on_solver_output",),
+    ),
+    Mutant(
+        "src/fracbvp/_csvtext.py",
+        "0.5 + 0.25 * np.sign((p - whole - 0.5) + e)",
+        "0.5 + 0.25 * np.sign((p - whole - 0.5) + e + 0.5)",
+        ("tests/test_cli.py::test_solution_csv_matches_per_value_writer",),
+    ),
+    Mutant(
         "src/fracbvp/expr.py",
         "if arity > depth:",
         "if False:",
@@ -76,6 +187,12 @@ MUTANTS = (
         'if key == "num" and not math.isfinite(payload):',
         "if False:",
         ("tests/test_expr.py::test_expr_accepts_only_a_program_of_finite_literals",),
+    ),
+    Mutant(
+        "src/fracbvp/expr.py",
+        '(lambda a, b, r: b == 0.0, "division by zero")',
+        '(lambda a, b, r: b != b, "division by zero")',
+        ("tests/test_expr.py::test_evaluation_errors",),
     ),
 )
 

@@ -2,12 +2,12 @@
 
 import importlib
 import json
+import re
 
 import numpy as np
 import pytest
 
 from fracbvp import (
-    AffinePsi,
     DomainError,
     GrowthSpec,
     ProblemParams,
@@ -63,30 +63,45 @@ def test_contraction_constant_domain(example_params):
 
 def test_growth_spec_validation():
     with pytest.raises(DomainError):
-        AffinePsi(0.0)
+        GrowthSpec(1.0, 0.0)
     with pytest.raises(DomainError):
-        AffinePsi(0.0, 1.0)
+        GrowthSpec(1.0, 0.0, 1.0)
     with pytest.raises(DomainError):
-        AffinePsi(1.0, -0.5)
+        GrowthSpec(1.0, 1.0, -0.5)
     with pytest.raises(DomainError):
-        GrowthSpec(-1.0, AffinePsi(1.0))
+        GrowthSpec(-1.0, 1.0)
+
+
+@pytest.mark.parametrize(
+    "fields, message",
+    [
+        ((-1.0, 0.0, -1.0), "growth envelope needs a > 0, got 0.0"),
+        ((-1.0, 1.0, -1.0), "growth envelope needs b >= 0, got -1.0"),
+        ((-1.0, 1.0), "p_star must be >= 0, got -1.0"),
+    ],
+    ids=("a", "b", "p_star"),
+)
+def test_growth_spec_names_the_first_bad_field(fields, message):
+    # a record with several bad fields reports the first of a, b, p_star
+    with pytest.raises(DomainError, match=re.escape(message) + "$"):
+        GrowthSpec(*fields)
 
 
 def test_existence_radius_domain():
     with pytest.raises(DomainError, match="kernel bound must be >= 0"):
-        existence_radius(GrowthSpec(1.0, AffinePsi(1.0)), -1.0)
+        existence_radius(GrowthSpec(1.0, 1.0), -1.0)
 
 
 def test_existence_radius_closed_forms(example_params):
     # constant growth (b = 0): r = p* a max(G*, theta)
     th = theta(example_params)
-    r = existence_radius(GrowthSpec(1.0, AffinePsi(1.0)), max(3.1601, th))
+    r = existence_radius(GrowthSpec(1.0, 1.0), max(3.1601, th))
     assert r == pytest.approx(3.1601, abs=1e-12)
     # no finite radius once p* b max(G*, theta) reaches 1
-    r = existence_radius(GrowthSpec(1.0, AffinePsi(1.0, 1.0)), max(3.1601, th))
+    r = existence_radius(GrowthSpec(1.0, 1.0, 1.0), max(3.1601, th))
     assert r is None
     # with the computed bound the theta term dominates the max
-    r = existence_radius(GrowthSpec(1.0, AffinePsi(1.0)), max(0.5527021926126314, th))
+    r = existence_radius(GrowthSpec(1.0, 1.0), max(0.5527021926126314, th))
     assert r == pytest.approx(2.0, abs=1e-12)
 
 
@@ -123,18 +138,25 @@ def test_certify_estimates_k_when_missing(example_spec):
 
 def test_certify_growth_flags(example_spec):
     with_growth = certify(
-        example_spec, k=EXAMPLE_K, growth=GrowthSpec(1.0, AffinePsi(1.0)), m=33
+        example_spec, k=EXAMPLE_K, growth=GrowthSpec(1.0, 1.0), m=33
     )
     assert with_growth.exists
     assert with_growth.r == pytest.approx(2.0, abs=1e-9)
     no_radius = certify(
-        example_spec, k=EXAMPLE_K, growth=GrowthSpec(1.0, AffinePsi(1.0, 1.0)), m=33
+        example_spec, k=EXAMPLE_K, growth=GrowthSpec(1.0, 1.0, 1.0), m=33
     )
     assert not no_radius.exists
     assert no_radius.r is None
     without = certify(example_spec, k=EXAMPLE_K, m=33)
     assert not without.exists
     assert without.r is None
+
+
+def test_a_zero_p_star_is_a_growth_bound_with_radius_zero(example_spec):
+    # p_star = 0 bounds |f| by 0, so the smallest radius is r = 0
+    cert = certify(example_spec, k=EXAMPLE_K, growth=GrowthSpec(0.0, 1.0), m=33)
+    assert cert.r == 0.0
+    assert cert.exists
 
 
 def test_certificate_dict_shape(example_spec):
@@ -168,8 +190,8 @@ def test_contradiction_refutes_only_what_the_samples_disprove(example_spec):
     assert contradiction(linear, 2.9, None).startswith("key 'k': 2.9 is below")
     # |1 + u/2| <= 1 + max(|u|, |v|)/2, with equality at u = 10
     affine = parse("1 + 0.5*u")
-    assert contradiction(affine, None, GrowthSpec(1.0, AffinePsi(1.0, 0.5))) is None
-    assert contradiction(affine, None, GrowthSpec(1.0, AffinePsi(1.0, 0.49))).startswith("key 'p_star'")
+    assert contradiction(affine, None, GrowthSpec(1.0, 1.0, 0.5)) is None
+    assert contradiction(affine, None, GrowthSpec(1.0, 1.0, 0.49)).startswith("key 'p_star'")
     assert contradiction(affine, None, None) is None
     # the example's k = 1/11 stands; its sampled quotients reach 0.0195
     assert contradiction(example_spec.rhs, EXAMPLE_K, None) is None
@@ -209,7 +231,7 @@ def test_theta_is_computed_once_per_certificate(example_spec, monkeypatch, capsy
     for module in (certify_module, greens):
         real = module.theta
         monkeypatch.setattr(module, "theta", lambda p, real=real: calls.append(p) or real(p))
-    growth = GrowthSpec(1.0, AffinePsi(1.0))
+    growth = GrowthSpec(1.0, 1.0)
     assert certify(example_spec, k=EXAMPLE_K, growth=growth, m=33).theta == 2.0
     assert len(calls) == 1
     calls.clear()
@@ -243,7 +265,7 @@ def test_a_contraction_constant_of_exactly_one_is_not_unique(example_spec):
 def test_a_growth_slope_of_exactly_one_has_no_radius():
     # p* b max(G*, theta) = 1 * 0.5 * 2 = 1 exactly: r >= 2 (1 + r/2) = 2 + r
     # holds for no finite r
-    assert existence_radius(GrowthSpec(1.0, AffinePsi(1.0, 0.5)), 2.0) is None
+    assert existence_radius(GrowthSpec(1.0, 1.0, 0.5), 2.0) is None
 
 
 def test_contradiction_refuses_a_k_a_millionth_below_the_quotients():
@@ -259,6 +281,6 @@ def test_contradiction_refuses_a_growth_bound_a_millionth_too_low():
     # |1 + u/2| reaches 6.0000055 at u = 10 + du, where psi with b lowered by
     # 1e-6 relative gives 6.0000005: an excess of 5e-6, 700 times the slack
     # 1e-9 (1 + |f|) = 7e-9, yet 140 times below a slack of 1e-4.
-    growth = GrowthSpec(1.0, AffinePsi(1.0, 0.5 * (1 - 1e-6)))
+    growth = GrowthSpec(1.0, 1.0, 0.5 * (1 - 1e-6))
     refusal = contradiction(parse("1 + 0.5*u"), None, growth)
     assert refusal is not None and refusal.startswith("key 'p_star'")

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import fracbvp
-from fracbvp import AffinePsi, ConfigError, GrowthSpec, cli
+from fracbvp import ConfigError, GrowthSpec, cli
 from fracbvp._csvtext import csv_rows
 from fracbvp.cli import main, parse_config
 
@@ -73,10 +73,10 @@ def test_parse_config_comments_and_spacing(tmp_path):
 def test_parse_config_growth_block(tmp_path):
     text = EXAMPLE_LINES + "psi_kind = affine\npsi_a = 1.0\npsi_b = 0.25\np_star = 2.0\n"
     cfg = parse_config(write_config(tmp_path, text))
-    assert cfg.growth == GrowthSpec(2.0, AffinePsi(1.0, 0.25))
+    assert cfg.growth == GrowthSpec(2.0, 1.0, 0.25)
     text = EXAMPLE_LINES + "psi_kind = constant\npsi_a = 1.5\np_star = 2.0\n"
     cfg = parse_config(write_config(tmp_path, text))
-    assert cfg.growth == GrowthSpec(2.0, AffinePsi(1.5))
+    assert cfg.growth == GrowthSpec(2.0, 1.5)
 
 
 def test_parse_config_errors(tmp_path):
@@ -541,6 +541,18 @@ def test_certify_prints_a_huge_k_without_crashing(tmp_path, capsys, k, d, d_pape
     printed = read_kv(capsys.readouterr().out)
     assert printed["unique"] == "false"
     assert (printed["d"], printed["d_paper"]) == (d, d_paper)
+
+
+def test_certify_accepts_a_zero_p_star(tmp_path, capsys):
+    # p_star = 0 bounds |f| by 0: the radius is 0 and a fixed point exists
+    cfg = write_config(
+        tmp_path,
+        "alpha = 1.5\nbeta = 0.5\nxi = 0.5\nrhs = 0*u\nk = 0\n"
+        "psi_kind = constant\npsi_a = 1\np_star = 0\n",
+    )
+    assert main(["certify", "--config", cfg]) == 0
+    printed = read_kv(capsys.readouterr().out)
+    assert (printed["r"], printed["exists"]) == ("0.000000000000", "true")
 
 
 def test_certify_growth_check_with_an_overflowing_bound_warns_nothing(tmp_path, capsys):
