@@ -39,10 +39,10 @@ from .greens import ProblemParams, _green_terms, _value
 from .solver import ProblemSpec, picard_solve, residual
 
 # Built-in worked example: a right-hand side whose Lipschitz constant 1/11
-# yields a published uniqueness certificate.  The reported kernel bound
-# 3.1601 is kept verbatim so the certificate's figures are reproduced
-# exactly; the coarse bound recomputed from its defining expression comes
-# out near 3.277 and is printed alongside for comparison.
+# yields a published uniqueness certificate.  `example` alone prints the
+# published figure, from the reported kernel bound 3.1601 kept verbatim; the
+# coarse bound recomputed from its defining expression comes out near 3.277
+# and is printed alongside for comparison.
 EXAMPLE_ALPHA = 1.5
 EXAMPLE_BETA = 0.5
 EXAMPLE_XI = 0.5
@@ -200,11 +200,7 @@ def _fmt(x: float) -> str:
 def _trunc6(x: float) -> str:
     """Truncate toward zero at 6 decimals; reproduces reported constants
     that were printed truncated rather than rounded."""
-    scaled = x * 1e6
-    if not math.isfinite(scaled):
-        # so large a number has no fraction to cut; inf prints as inf
-        return f"{x:.6f}"
-    return f"{math.floor(scaled) / 1e6:.6f}"
+    return f"{math.floor(x * 1e6) / 1e6:.6f}"
 
 
 def _write_atomic(out_dir: str, name: str, text: str) -> None:
@@ -283,25 +279,13 @@ def _certificate_lines(cert: Certificate) -> list[str]:
     return [f"{key}={text(value)}" for key, value in cert.as_dict().items()]
 
 
-def _is_example_params(params: ProblemParams) -> bool:
-    return (
-        abs(params.alpha - EXAMPLE_ALPHA) < 1e-12
-        and abs(params.beta - EXAMPLE_BETA) < 1e-12
-        and abs(params.xi - EXAMPLE_XI) < 1e-12
-    )
-
-
 def cmd_certify(config: Config, out_dir: Optional[str]) -> int:
     refuted = contradiction(config.rhs, config.k, config.growth)
     if refuted is not None:
         raise ConfigError(refuted)
     spec = ProblemSpec(config.params, config.rhs)
     cert = certify(spec, k=config.k, growth=config.growth)
-    lines = _certificate_lines(cert)
-    if _is_example_params(config.params):
-        # reproduction path for the worked example's published figure
-        lines.append(f"d_paper={_trunc6(2.0 * cert.k * EXAMPLE_GSTAR_REPORTED)}")
-    text = "\n".join(lines) + "\n"
+    text = "\n".join(_certificate_lines(cert)) + "\n"
     sys.stdout.write(text)
     if out_dir is not None:
         _write_atomic(out_dir, "certificate.txt", text)
@@ -427,7 +411,3 @@ def main(argv: Optional[list[str]] = None) -> int:
         # an output write that failed
         print(f"error: {exc}", file=sys.stderr)
         return 1
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -20,11 +20,9 @@ from fracbvp import (
     parse,
     picard_solve,
 )
+from fracbvp.cli import EXAMPLE_K, EXAMPLE_RHS
 from fracbvp.errors import EvaluationError
 from fracbvp.greens import _companion_terms, _value, green_branch_value
-
-EXAMPLE_RHS = "sin(t)^2/(11*(exp(2*t)+3*exp(t)+1))*(3+t+5*u+v)"
-EXAMPLE_K = 1.0 / 11.0
 
 
 @pytest.fixture(scope="session")

@@ -1,5 +1,6 @@
 """The committed mutant list stays applicable: every old text occurs exactly
-once in its file, and every test it names exists.  Running the mutants is
+once in its file, every test it names exists, and each row either names
+tests or is equivalent with a reason.  Running the mutants is
 tests/mutants.py's job."""
 
 from mutants import MUTANTS, ROOT
@@ -14,3 +15,11 @@ def test_every_mutant_applies_to_one_place():
         for test in m.tests:
             path, name = test.split("::")
             assert f"\ndef {name}(" in (ROOT / path).read_text(encoding="utf-8"), test
+
+
+def test_every_mutant_is_named_tests_or_an_equivalent_with_a_reason():
+    for m in MUTANTS:
+        if m.reason:
+            assert m.tests == (), (m.file, m.old)  # an equivalent row runs no tests
+        else:
+            assert m.tests, (m.file, m.old)
